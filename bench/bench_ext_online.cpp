@@ -12,6 +12,7 @@
 #include "bench/bench_common.hpp"
 #include "compare/comparator.hpp"
 #include "compare/online.hpp"
+#include "merkle/flat.hpp"
 
 namespace {
 
@@ -53,7 +54,8 @@ int main() {
       merkle::TreeBuilder builder(params, par::Exec::parallel());
       auto tree = builder.build(ref_writer.data_section());
       if (!tree.is_ok() ||
-          !tree.value().save(ref.value().metadata_path).is_ok()) {
+          !merkle::save_flat(tree.value(), ref.value().metadata_path)
+               .is_ok()) {
         return 1;
       }
     }

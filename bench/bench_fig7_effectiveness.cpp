@@ -18,6 +18,7 @@
 
 #include "bench/bench_common.hpp"
 #include "merkle/compare.hpp"
+#include "merkle/flat.hpp"
 
 namespace {
 
@@ -74,10 +75,16 @@ int main() {
     for (const std::uint64_t chunk : chunks) {
       const ckpt::CheckpointPair with_metadata =
           bench::metadata_for(pair, chunk, eps);
-      const auto tree_a =
-          merkle::MerkleTree::load(with_metadata.run_a.metadata_path);
-      const auto tree_b =
-          merkle::MerkleTree::load(with_metadata.run_b.metadata_path);
+      const auto sidecar_a =
+          merkle::MappedBundle::open(with_metadata.run_a.metadata_path);
+      const auto sidecar_b =
+          merkle::MappedBundle::open(with_metadata.run_b.metadata_path);
+      if (!sidecar_a.is_ok() || !sidecar_b.is_ok()) {
+        std::fprintf(stderr, "metadata load failed\n");
+        return 1;
+      }
+      const auto tree_a = sidecar_a.value().sole_tree();
+      const auto tree_b = sidecar_b.value().sole_tree();
       if (!tree_a.is_ok() || !tree_b.is_ok()) {
         std::fprintf(stderr, "metadata load failed\n");
         return 1;

@@ -1,12 +1,12 @@
-// Metadata-load bench: legacy v1 deserialization vs flat v2 mmap, both with
-// a warm page cache — the tentpole claim of the RMF2 format (docs/FORMATS.md,
-// docs/PERF.md). A v1 load re-parses the byte stream into heap node vectors
-// on every open; a v2 load maps the file and validates offsets + checksums,
-// after which node reads are memcpys straight out of the page cache.
+// Metadata bench: the warm-page-cache cost of opening one RMF2 sidecar
+// (docs/FORMATS.md, docs/PERF.md) — a load maps the file and validates
+// offsets + checksums, after which node reads are memcpys straight out of
+// the page cache — and the size and timeline savings of differential RMFD
+// sidecars over a 64-iteration history.
 //
-// The shape check asserts the v2 mmap-warm load is at least 3x faster than
-// the v1 deserialize-warm load at the default scale, and that both paths
-// produce identical tree content (same root, same params).
+// The shape check asserts differential sidecars are at least 3x smaller
+// than full per-iteration sidecars and that the incremental timeline visits
+// at least 3x fewer nodes than per-iteration reloads.
 //
 // --artifact-out <path> writes the repro-bench-trajectory/v1 document that
 // is committed as BENCH_metadata.json at the repo root.
@@ -41,13 +41,13 @@ int main(int argc, char** argv) {
       bench::extract_artifact_path(&argc, argv);
 
   bench::print_banner(
-      "Metadata sidecar load: v1 deserialize vs v2 mmap (warm page cache)",
+      "Metadata sidecars: RMF2 mmap load (warm page cache) and differential "
+      "history",
       "zero-copy metadata extension",
-      "Flat v2 sidecars are used in place: open cost is validation, not "
+      "RMF2 sidecars are used in place: open cost is validation, not "
       "parsing.");
 
-  // 8M floats (32 MiB) at 4 KiB chunks -> 8192 leaves, ~256 KiB metadata:
-  // big enough that per-node decode work dominates the v1 numbers.
+  // 8M floats (32 MiB) at 4 KiB chunks -> 8192 leaves, ~256 KiB metadata.
   const std::uint64_t values = (8ULL << 20) * bench::scale_factor();
   const std::vector<float> data = sim::generate_field(values, /*seed=*/7);
   const std::uint64_t chunk = 4 * kKiB;
@@ -63,78 +63,46 @@ int main(int argc, char** argv) {
   if (!tree.is_ok()) die("tree build failed", tree.status());
 
   TempDir dir{"bench-metadata"};
-  const std::filesystem::path v1_path = dir.file("tree.v1.rmrk");
-  const std::filesystem::path v2_path = dir.file("tree.v2.rmrk");
-  if (const auto saved = tree.value().save(v1_path); !saved.is_ok()) {
-    die("v1 save failed", saved);
-  }
-  if (const auto saved = merkle::save_flat(tree.value(), v2_path);
+  const std::filesystem::path sidecar_path = dir.file("tree.rmrk");
+  if (const auto saved = merkle::save_flat(tree.value(), sidecar_path);
       !saved.is_ok()) {
-    die("v2 save failed", saved);
+    die("sidecar save failed", saved);
   }
-  const auto file_bytes = [](const std::filesystem::path& path) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    return ec ? std::uint64_t{0} : static_cast<std::uint64_t>(size);
-  };
-  const std::uint64_t v1_bytes = file_bytes(v1_path);
-  const std::uint64_t v2_bytes = file_bytes(v2_path);
-  std::printf("data: %s   metadata: v1 %s, v2 %s\n\n",
+  const std::uint64_t sidecar_bytes = tree.value().metadata_bytes();
+  std::printf("data: %s   metadata: %s\n\n",
               format_size(data.size() * sizeof(float)).c_str(),
-              format_size(v1_bytes).c_str(), format_size(v2_bytes).c_str());
+              format_size(sidecar_bytes).c_str());
 
   const hash::Digest128 want_root = tree.value().root();
   const std::uint64_t want_chunks = tree.value().num_chunks();
 
-  // Warm both files into the page cache and sanity-check content parity
-  // before timing anything.
+  // Warm the file into the page cache and sanity-check its content before
+  // timing anything.
   {
-    auto v1 = merkle::MerkleTree::load(v1_path);
-    if (!v1.is_ok()) die("v1 warmup load failed", v1.status());
-    auto v2 = merkle::MappedBundle::open(v2_path);
-    if (!v2.is_ok()) die("v2 warmup open failed", v2.status());
-    auto view = v2.value().sole_tree();
-    if (!view.is_ok()) die("v2 sole_tree failed", view.status());
-    if (!(v1.value().root() == want_root) ||
-        !(view.value().root() == want_root) ||
+    auto opened = merkle::MappedBundle::open(sidecar_path);
+    if (!opened.is_ok()) die("warmup open failed", opened.status());
+    auto view = opened.value().sole_tree();
+    if (!view.is_ok()) die("sole_tree failed", view.status());
+    if (!(view.value().root() == want_root) ||
         view.value().num_chunks() != want_chunks) {
-      std::fprintf(stderr, "v1/v2 content mismatch\n");
+      std::fprintf(stderr, "sidecar content mismatch\n");
       return 1;
     }
-    if (!v2.value().mapped()) {
-      std::fprintf(stderr, "warning: v2 open fell back to a heap read\n");
+    if (!opened.value().mapped()) {
+      std::fprintf(stderr, "warning: sidecar open fell back to a heap read\n");
     }
   }
 
   const int reps = 15;
-  // v1: read_file + full node-stream deserialization, every open.
-  const bench::WallStats v1_stats = bench::wall_stats_of(reps, [&] {
+  // mmap + header/offset validation + per-section checksum pass; the root
+  // read is a 16-byte memcpy out of the mapping.
+  const bench::WallStats load_stats = bench::wall_stats_of(reps, [&] {
     Stopwatch clock;
-    auto loaded = merkle::MerkleTree::load(v1_path);
-    if (!loaded.is_ok() || !(loaded.value().root() == want_root)) {
-      die("v1 load failed", loaded.status());
-    }
-    return clock.seconds() * 1e3;
-  });
-  // v2: mmap + header/offset validation + per-section checksum pass; the
-  // root read is a 16-byte memcpy out of the mapping.
-  const bench::WallStats v2_stats = bench::wall_stats_of(reps, [&] {
-    Stopwatch clock;
-    auto opened = merkle::MappedBundle::open(v2_path);
-    if (!opened.is_ok()) die("v2 open failed", opened.status());
+    auto opened = merkle::MappedBundle::open(sidecar_path);
+    if (!opened.is_ok()) die("sidecar open failed", opened.status());
     auto view = opened.value().sole_tree();
     if (!view.is_ok() || !(view.value().root() == want_root)) {
-      die("v2 view failed", view.status());
-    }
-    return clock.seconds() * 1e3;
-  });
-  // Compat shim: a v1 file through MappedBundle pays one legacy decode plus
-  // a flat re-encode — the one-time migration cost the shim hides.
-  const bench::WallStats shim_stats = bench::wall_stats_of(reps, [&] {
-    Stopwatch clock;
-    auto opened = merkle::MappedBundle::open(v1_path);
-    if (!opened.is_ok() || !opened.value().converted_from_v1()) {
-      die("v1-through-shim open failed", opened.status());
+      die("sidecar view failed", view.status());
     }
     return clock.seconds() * 1e3;
   });
@@ -259,12 +227,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     store_options.anchor_interval));
   const std::vector<bench::TrajectoryRow> rows = {
-      {"metadata_load_v1_deserialize_warm", config, v1_stats.median_ms,
-       v1_stats.p90_ms, v1_bytes},
-      {"metadata_load_v2_mmap_warm", config, v2_stats.median_ms,
-       v2_stats.p90_ms, v2_bytes},
-      {"metadata_load_v1_via_compat_shim", config, shim_stats.median_ms,
-       shim_stats.p90_ms, v1_bytes},
+      {"metadata_load_v2_mmap_warm", config, load_stats.median_ms,
+       load_stats.p90_ms, sidecar_bytes},
       {"metadata_differential_sidecars_64iter", diff_config, append_ms,
        append_ms, diff_stats.metadata_bytes},
       {"metadata_full_per_iteration_equiv", diff_config, 0.0, 0.0,
@@ -282,20 +246,11 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  const double speedup = v2_stats.median_ms > 0
-                             ? v1_stats.median_ms / v2_stats.median_ms
-                             : 0;
-  const bool shapes_ok =
-      speedup >= 3.0 && savings >= 3.0 && visit_reduction >= 3.0;
-  std::printf("\nv2 mmap-warm speedup over v1 deserialize-warm: %.1fx\n",
-              speedup);
-  std::printf("shape check (%s):\n"
-              "  [1] v2 mmap-warm load >= 3x faster than v1 "
-              "deserialize-warm load\n"
-              "  [2] v1 and v2 loads yield identical tree content\n"
-              "  [3] differential sidecars >= 3x smaller than "
+  const bool shapes_ok = savings >= 3.0 && visit_reduction >= 3.0;
+  std::printf("\nshape check (%s):\n"
+              "  [1] differential sidecars >= 3x smaller than "
               "full-per-iteration (%.1fx)\n"
-              "  [4] incremental timeline >= 3x fewer node visits than "
+              "  [2] incremental timeline >= 3x fewer node visits than "
               "per-iteration reloads (%.1fx)\n",
               shapes_ok ? "PASS" : "CHECK FAILED", savings,
               visit_reduction);

@@ -9,6 +9,7 @@
 
 #include "common/fs.hpp"
 #include "merkle/compare.hpp"
+#include "merkle/flat.hpp"
 #include "merkle/tree.hpp"
 #include "sim/hacc_lite.hpp"
 
@@ -56,11 +57,13 @@ Result<bool> gate(const std::filesystem::path& golden_path,
   REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
                          run_workload(code_drift));
   REPRO_ASSIGN_OR_RETURN(const merkle::MerkleTree candidate, tree_of(data));
-  REPRO_ASSIGN_OR_RETURN(const merkle::MerkleTree golden,
-                         merkle::MerkleTree::load(golden_path));
+  REPRO_ASSIGN_OR_RETURN(const merkle::MappedBundle golden_sidecar,
+                         merkle::MappedBundle::open(golden_path));
+  REPRO_ASSIGN_OR_RETURN(const merkle::TreeView golden,
+                         golden_sidecar.sole_tree());
   REPRO_ASSIGN_OR_RETURN(
       const std::vector<std::uint64_t> diffs,
-      merkle::compare_trees(golden, candidate));
+      merkle::compare_trees(golden, merkle::TreeView(candidate)));
   if (!diffs.empty()) {
     std::printf("  gate: %zu of %llu chunks differ beyond eps=%g\n",
                 diffs.size(),
@@ -85,7 +88,8 @@ int main() {
       return 1;
     }
     auto tree = tree_of(data.value());
-    if (!tree.is_ok() || !tree.value().save(golden_path).is_ok()) {
+    if (!tree.is_ok() ||
+        !merkle::save_flat(tree.value(), golden_path).is_ok()) {
       std::fprintf(stderr, "golden metadata save failed\n");
       return 1;
     }

@@ -16,6 +16,7 @@
 #include "common/fs.hpp"
 #include "common/table.hpp"
 #include "compare/online.hpp"
+#include "merkle/flat.hpp"
 #include "merkle/tree.hpp"
 #include "sim/hacc_lite.hpp"
 
@@ -72,7 +73,8 @@ int main() {
       merkle::TreeBuilder builder(tree_params(), par::Exec::parallel());
       REPRO_ASSIGN_OR_RETURN(const merkle::MerkleTree tree,
                              builder.build(writer.data_section()));
-      REPRO_RETURN_IF_ERROR(tree.save(ref.value().metadata_path));
+      REPRO_RETURN_IF_ERROR(
+          merkle::save_flat(tree, ref.value().metadata_path));
       // ...and the compacted history for long-term storage.
       return delta.value().append(iteration, writer.data_section());
     });

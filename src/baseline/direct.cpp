@@ -40,20 +40,14 @@ repro::Result<cmp::CompareReport> direct_compare(
       return repro::failed_precondition(
           "checkpoints cover different data sizes");
     }
-
-    auto open_one = [&](const std::filesystem::path& path)
-        -> repro::Result<std::unique_ptr<io::IoBackend>> {
-      auto result =
-          io::open_backend(path, options.backend, options.backend_options);
-      if (!result.is_ok() && options.backend_fallback &&
-          result.status().code() == repro::StatusCode::kUnsupported) {
-        return io::open_backend(path, io::BackendKind::kThreadAsync,
-                                options.backend_options);
-      }
-      return result;
-    };
-    REPRO_ASSIGN_OR_RETURN(backend_a, open_one(checkpoint_a));
-    REPRO_ASSIGN_OR_RETURN(backend_b, open_one(checkpoint_b));
+    REPRO_ASSIGN_OR_RETURN(
+        backend_a, io::open_backend_with_fallback(
+                       checkpoint_a, options.backend, options.backend_options,
+                       options.backend_fallback, &report.io_fallbacks));
+    REPRO_ASSIGN_OR_RETURN(
+        backend_b, io::open_backend_with_fallback(
+                       checkpoint_b, options.backend, options.backend_options,
+                       options.backend_fallback, &report.io_fallbacks));
   }
   report.data_bytes = reader_a->data_bytes();
 

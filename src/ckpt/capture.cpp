@@ -76,9 +76,7 @@ repro::Status CaptureEngine::capture(const CheckpointWriter& writer) {
     merkle::TreeBuilder builder(options_.tree, options_.exec);
     REPRO_ASSIGN_OR_RETURN(const merkle::MerkleTree tree,
                            builder.build(writer.data_section()));
-    metadata = options_.sidecar_format == merkle::SidecarWriteFormat::kFlatV2
-                   ? merkle::flat_serialize(tree)
-                   : tree.serialize();
+    metadata = merkle::flat_serialize(tree);
   }
 
   {

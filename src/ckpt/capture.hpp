@@ -31,11 +31,6 @@ struct CaptureOptions {
   /// Build metadata at capture time (the paper's mode). Off = bulk-only
   /// capture; trees must then be built offline (repro-cli tree).
   bool build_metadata = true;
-  /// Sidecar encoding for the published metadata. Flat v2 is the default
-  /// (mmap-able, zero-copy reads); legacy v1 remains writable for compat
-  /// fixtures and downgrades. Readers accept both either way.
-  merkle::SidecarWriteFormat sidecar_format =
-      merkle::SidecarWriteFormat::kFlatV2;
   par::Exec exec = par::Exec::parallel();
 };
 

@@ -260,10 +260,9 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
                                           file)
                             .with_context("writing delta"));
 
-  // Sidecar: full flat v2 tree at anchors (carrying the RMFD delta too, so
+  // Sidecar: full RMF2 tree at anchors (carrying the RMFD delta too, so
   // incremental consumers keep the per-step diff), differential RMFD-only
-  // otherwise. Loads via MerkleTree::load / resolve_delta_chain stay
-  // compatible through the format-detecting shims.
+  // otherwise; readers resolve the latter with resolve_delta_chain.
   std::uint64_t sidecar_bytes = 0;
   if (!options_.differential_metadata || is_anchor) {
     merkle::FlatBuilder sidecar;

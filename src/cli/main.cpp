@@ -74,9 +74,9 @@ void print_usage() {
       "      --noise-start delays nondeterminism until iteration N\n"
       "\n"
       "  repro-cli tree CKPT [--chunk 64K] [--eps 1e-6] [--block 4]\n"
-      "            [--out FILE.rmrk] [--format v2|v1]\n"
-      "      build Merkle metadata for an existing checkpoint (flat v2\n"
-      "      sidecars by default; --format v1 writes the legacy encoding)\n"
+      "            [--out FILE.rmrk]\n"
+      "      build Merkle metadata (an RMF2 sidecar) for an existing\n"
+      "      checkpoint\n"
       "\n"
       "  repro-cli compare A.ckpt B.ckpt [--eps 1e-6] [--chunk 64K]\n"
       "            [--backend uring|mmap|pread|threads] [--diffs N]\n"
@@ -104,12 +104,8 @@ void print_usage() {
       "      print checkpoint or metadata file structure\n"
       "\n"
       "  repro-cli info SIDECAR\n"
-      "      print a sidecar's detected format version, section table, and\n"
+      "      print a sidecar's format version, section table, and\n"
       "      per-tree summary (see docs/FORMATS.md)\n"
-      "\n"
-      "  repro-cli migrate SIDECAR [--to v2|v1] [--out FILE]\n"
-      "      rewrite a sidecar between legacy v1 and flat v2 encodings\n"
-      "      (atomic in-place rewrite unless --out is given)\n"
       "\n"
       "  repro-cli fields A.ckpt B.ckpt [--bounds X=1e-6,PHI=1e-2]\n"
       "            [--default-eps 1e-6] [--chunk 16K]\n"
@@ -297,17 +293,9 @@ int cmd_tree(const Args& args) {
   auto tree = builder.build(data.value());
   if (!tree.is_ok()) return fail(tree.status());
 
-  const std::string format = args.get("format", "v2");
-  if (format != "v1" && format != "v2") {
-    std::fprintf(stderr, "tree --format expects v1 or v2\n");
-    return 2;
-  }
   const std::filesystem::path out =
       args.get("out", ckpt_path.string() + ".rmrk");
-  const repro::Status saved = merkle::save_sidecar(
-      tree.value(), out,
-      format == "v1" ? merkle::SidecarWriteFormat::kLegacyV1
-                     : merkle::SidecarWriteFormat::kFlatV2);
+  const repro::Status saved = merkle::save_flat(tree.value(), out);
   if (!saved.is_ok()) return fail(saved);
 
   std::printf("wrote %s: %llu chunks of %s, eps=%g, %s metadata (%.2f%% of "
@@ -638,19 +626,12 @@ int cmd_inspect(const Args& args) {
   }
   const std::filesystem::path path = args.positional()[1];
   if (path.extension() == ".rmrk") {
-    auto tree = merkle::MerkleTree::load(path);
+    auto sidecar = merkle::MappedBundle::open(path);
+    if (!sidecar.is_ok()) return fail(sidecar.status());
+    auto tree = sidecar.value().sole_tree();
     if (!tree.is_ok()) return fail(tree.status());
-    const auto& t = tree.value();
+    const merkle::TreeView& t = tree.value();
     std::printf("merkle metadata %s\n", path.c_str());
-    {
-      auto raw = repro::read_file(path);
-      if (raw.is_ok()) {
-        const auto name = merkle::sidecar_format_name(
-            merkle::detect_sidecar_format(raw.value()));
-        std::printf("  format        %.*s\n", static_cast<int>(name.size()),
-                    name.data());
-      }
-    }
     std::printf("  data size     %s\n",
                 repro::format_size(t.data_bytes()).c_str());
     std::printf("  chunk size    %s\n",
@@ -695,8 +676,8 @@ const char* section_name(std::uint32_t id) {
   return "unknown";
 }
 
-/// `repro-cli info SIDECAR`: detected format, header/section structure, and
-/// a per-tree summary. Unlike inspect (which decodes), info reports what is
+/// `repro-cli info SIDECAR`: header/section structure and a per-tree
+/// summary. Unlike inspect (which reads one tree), info reports what is
 /// physically on disk — the debugging entry point for format questions.
 int cmd_info(const Args& args) {
   if (args.positional().size() < 2) {
@@ -706,176 +687,51 @@ int cmd_info(const Args& args) {
   const std::filesystem::path path = args.positional()[1];
   auto bytes = repro::read_file(path);
   if (!bytes.is_ok()) return fail(bytes.status());
-  const merkle::SidecarFormat format =
-      merkle::detect_sidecar_format(bytes.value());
-  const auto format_name = merkle::sidecar_format_name(format);
+  // Legacy v1 files, unknown versions and foreign magic fail here with the
+  // parse-layer error that names the problem.
+  auto view = merkle::BundleView::parse(bytes.value());
+  if (!view.is_ok()) return fail(view.status());
   std::printf("sidecar %s\n", path.c_str());
-  std::printf("  format        %.*s\n", static_cast<int>(format_name.size()),
-              format_name.data());
+  std::printf("  format        RMF2 (flat, mmap-able)\n");
   std::printf("  file size     %s\n",
               repro::format_size(bytes.value().size()).c_str());
-
-  switch (format) {
-    case merkle::SidecarFormat::kV2Flat: {
-      // A v2-magic file with an unknown version fails here with the
-      // parse-layer error that names `migrate` — not a generic failure.
-      auto view = merkle::BundleView::parse(bytes.value());
-      if (!view.is_ok()) return fail(view.status());
-      std::printf("  version       %u\n", merkle::kFlatVersion);
-      std::printf("  sections      %zu\n", view.value().sections().size());
-      for (const auto& section : view.value().sections()) {
-        std::printf("    %-11s offset=%-8llu length=%-10llu "
-                    "checksum=%016llx\n",
-                    section_name(section.id),
-                    static_cast<unsigned long long>(section.offset),
-                    static_cast<unsigned long long>(section.length),
-                    static_cast<unsigned long long>(section.checksum));
-      }
-      std::printf("  trees         %zu\n", view.value().size());
-      for (std::size_t i = 0; i < view.value().size(); ++i) {
-        const merkle::TreeView& tree = view.value().tree(i);
-        const std::string_view name = view.value().name(i);
-        std::printf("    %s: %llu chunks of %s, eps=%g, root %s\n",
-                    name.empty() ? "(unnamed)" : std::string(name).c_str(),
-                    static_cast<unsigned long long>(tree.num_chunks()),
-                    repro::format_size(tree.params().chunk_bytes).c_str(),
-                    tree.params().hash.error_bound,
-                    tree.root().hex().c_str());
-      }
-      if (view.value().has_delta()) {
-        auto delta = view.value().delta();
-        if (!delta.is_ok()) return fail(delta.status());
-        std::printf("  differential  iteration %llu vs %llu: %zu changed "
-                    "nodes (%zu chunks) of %llu leaves\n",
-                    static_cast<unsigned long long>(delta.value().iteration),
-                    static_cast<unsigned long long>(
-                        delta.value().base_iteration),
-                    delta.value().nodes.size(),
-                    delta.value().changed_chunks().size(),
-                    static_cast<unsigned long long>(
-                        delta.value().num_leaves));
-        if (view.value().size() == 0) {
-          std::printf("  note: delta-only sidecar — trees resolve against "
-                      "iter%llu.rmrk in the same directory\n",
-                      static_cast<unsigned long long>(
-                          delta.value().base_iteration));
-        }
-      }
-      return 0;
-    }
-    case merkle::SidecarFormat::kV1Tree: {
-      auto tree = merkle::MerkleTree::deserialize(bytes.value());
-      if (!tree.is_ok()) return fail(tree.status());
-      std::printf("  version       1\n");
-      std::printf("  trees         1\n");
-      std::printf("    (unnamed): %llu chunks of %s, eps=%g, root %s\n",
-                  static_cast<unsigned long long>(tree.value().num_chunks()),
-                  repro::format_size(
-                      tree.value().params().chunk_bytes).c_str(),
-                  tree.value().params().hash.error_bound,
-                  tree.value().root().hex().c_str());
-      std::printf("  note: legacy v1 — `repro-cli migrate %s` rewrites it "
-                  "as flat v2 (mmap-able, zero-copy reads)\n",
-                  path.c_str());
-      return 0;
-    }
-    case merkle::SidecarFormat::kV1Bundle: {
-      auto bundle = merkle::TreeBundle::deserialize(bytes.value());
-      if (!bundle.is_ok()) return fail(bundle.status());
-      std::printf("  version       1\n");
-      std::printf("  trees         %zu\n", bundle.value().size());
-      for (const auto& [name, tree] : bundle.value().entries()) {
-        std::printf("    %s: %llu chunks of %s, eps=%g\n", name.c_str(),
-                    static_cast<unsigned long long>(tree.num_chunks()),
-                    repro::format_size(tree.params().chunk_bytes).c_str(),
-                    tree.params().hash.error_bound);
-      }
-      std::printf("  note: legacy v1 — `repro-cli migrate %s` rewrites it "
-                  "as flat v2 (mmap-able, zero-copy reads)\n",
-                  path.c_str());
-      return 0;
-    }
-    case merkle::SidecarFormat::kUnknown:
-      break;
+  std::printf("  version       %u\n", merkle::kFlatVersion);
+  std::printf("  sections      %zu\n", view.value().sections().size());
+  for (const auto& section : view.value().sections()) {
+    std::printf("    %-11s offset=%-8llu length=%-10llu "
+                "checksum=%016llx\n",
+                section_name(section.id),
+                static_cast<unsigned long long>(section.offset),
+                static_cast<unsigned long long>(section.length),
+                static_cast<unsigned long long>(section.checksum));
   }
-  return fail(repro::corrupt_data(
-      "unrecognized sidecar magic (expected RMRK, RMRB, or RMF2)"));
-}
-
-/// `repro-cli migrate SIDECAR [--to v2|v1] [--out FILE]`: rewrite a sidecar
-/// between the legacy and flat encodings. In-place rewrites go through the
-/// same atomic temp+rename publish as every other sidecar write.
-int cmd_migrate(const Args& args) {
-  if (args.positional().size() < 2) {
-    std::fprintf(stderr, "migrate requires a sidecar path\n");
-    return 2;
+  std::printf("  trees         %zu\n", view.value().size());
+  for (std::size_t i = 0; i < view.value().size(); ++i) {
+    const merkle::TreeView& tree = view.value().tree(i);
+    const std::string_view name = view.value().name(i);
+    std::printf("    %s: %llu chunks of %s, eps=%g, root %s\n",
+                name.empty() ? "(unnamed)" : std::string(name).c_str(),
+                static_cast<unsigned long long>(tree.num_chunks()),
+                repro::format_size(tree.params().chunk_bytes).c_str(),
+                tree.params().hash.error_bound, tree.root().hex().c_str());
   }
-  const std::filesystem::path path = args.positional()[1];
-  const std::string target = args.get("to", "v2");
-  if (target != "v1" && target != "v2") {
-    std::fprintf(stderr, "migrate --to expects v1 or v2\n");
-    return 2;
-  }
-  const std::filesystem::path out = args.get("out", path.string());
-
-  auto bytes = repro::read_file(path);
-  if (!bytes.is_ok()) return fail(bytes.status());
-  const merkle::SidecarFormat format =
-      merkle::detect_sidecar_format(bytes.value());
-  if (format == merkle::SidecarFormat::kUnknown) {
-    return fail(repro::corrupt_data(
-        "unrecognized sidecar magic (expected RMRK, RMRB, or RMF2)"));
-  }
-
-  const bool already =
-      (target == "v2") == (format == merkle::SidecarFormat::kV2Flat);
-  if (already && out == path) {
-    std::printf("%s is already %s; nothing to do\n", path.c_str(),
-                target.c_str());
-    return 0;
-  }
-
-  repro::Status saved;
-  if (target == "v2") {
-    // Either legacy decoder -> one flat blob. MappedBundle's conversion
-    // path does exactly this; reuse it so migrate and the read shim agree.
-    // (A v2 input passes through byte-identical.)
-    auto bundle = merkle::MappedBundle::from_bytes(std::move(bytes).value());
-    if (!bundle.is_ok()) return fail(bundle.status());
-    saved = repro::write_file(out, bundle.value().bytes())
-                .with_context("writing migrated sidecar");
-  } else {
-    // Downgrade: materialize every tree and emit the matching legacy
-    // format (single unnamed tree -> RMRK, anything else -> RMRB).
-    auto bundle = merkle::MappedBundle::from_bytes(std::move(bytes).value());
-    if (!bundle.is_ok()) return fail(bundle.status());
-    const merkle::BundleView& view = bundle.value().view();
-    if (view.size() == 0 && view.has_delta()) {
-      // A delta-only sidecar has no trees to downgrade; resolving the chain
-      // would silently bake a different file's content into the output.
-      return fail(repro::failed_precondition(
-          "differential (RMFD-only) sidecar cannot be migrated to v1; "
-          "resolve it against its anchor chain first"));
-    }
-    if (view.size() == 1 && view.name(0).empty()) {
-      auto tree = view.tree(0).materialize();
-      if (!tree.is_ok()) return fail(tree.status());
-      saved = tree.value().save(out);
-    } else {
-      merkle::TreeBundle legacy;
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        auto tree = view.tree(i).materialize();
-        if (!tree.is_ok()) return fail(tree.status());
-        const repro::Status added = legacy.add(std::string(view.name(i)),
-                                               std::move(tree).value());
-        if (!added.is_ok()) return fail(added);
-      }
-      saved = legacy.save(out);
+  if (view.value().has_delta()) {
+    auto delta = view.value().delta();
+    if (!delta.is_ok()) return fail(delta.status());
+    std::printf("  differential  iteration %llu vs %llu: %zu changed "
+                "nodes (%zu chunks) of %llu leaves\n",
+                static_cast<unsigned long long>(delta.value().iteration),
+                static_cast<unsigned long long>(delta.value().base_iteration),
+                delta.value().nodes.size(),
+                delta.value().changed_chunks().size(),
+                static_cast<unsigned long long>(delta.value().num_leaves));
+    if (view.value().size() == 0) {
+      std::printf("  note: delta-only sidecar — trees resolve against "
+                  "iter%llu.rmrk in the same directory\n",
+                  static_cast<unsigned long long>(
+                      delta.value().base_iteration));
     }
   }
-  if (!saved.is_ok()) return fail(saved);
-  std::printf("migrated %s -> %s (%s)\n", path.c_str(), out.c_str(),
-              target.c_str());
   return 0;
 }
 
@@ -2012,7 +1868,6 @@ int dispatch(const std::string& command, const Args& args) {
   if (command == "timeline") return cmd_timeline(args);
   if (command == "inspect") return cmd_inspect(args);
   if (command == "info") return cmd_info(args);
-  if (command == "migrate") return cmd_migrate(args);
   if (command == "fields") return cmd_fields(args);
   if (command == "prove") return cmd_prove(args);
   if (command == "verify") return cmd_verify(args);

@@ -53,10 +53,8 @@ repro::Result<PinnedTree> load_or_build_tree(
     const std::filesystem::path& metadata_path, const CompareOptions& options,
     TimerSet& timers, std::uint64_t* metadata_bytes_read) {
   if (std::filesystem::exists(metadata_path)) {
-    // Flat v2 sidecars map straight into place — the deserialize phase
-    // vanishes (the Figure-6 breakdown shows it as ~0). Legacy v1 sidecars
-    // still decode inside open(); that one-time conversion is charged to
-    // the read phase it replaces.
+    // Sidecars map straight into place — the deserialize phase only
+    // resolves the tree view (the Figure-6 breakdown shows it as ~0).
     merkle::MappedBundle opened;
     {
       PhaseTimer timer(timers, kPhaseRead);
@@ -101,25 +99,6 @@ struct FieldAccum {
   double sum_sq_diff = 0;
   double sum_sq_ref = 0;
 };
-
-repro::Result<std::unique_ptr<io::IoBackend>> open_stage2_backend(
-    const std::filesystem::path& path, const CompareOptions& options,
-    std::uint64_t* fallbacks) {
-  auto result =
-      io::open_backend(path, options.backend, options.backend_options);
-  if (!result.is_ok() && options.backend_fallback &&
-      result.status().code() == repro::StatusCode::kUnsupported) {
-    REPRO_LOG_WARN << io::backend_name(options.backend)
-                   << " backend unavailable ("
-                   << result.status().message()
-                   << "); falling back to the threads backend for "
-                   << path.string();
-    ++*fallbacks;
-    return io::open_backend(path, io::BackendKind::kThreadAsync,
-                            options.backend_options);
-  }
-  return result;
-}
 
 }  // namespace
 
@@ -169,11 +148,15 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
           "checkpoints cover different data sizes");
     }
     REPRO_ASSIGN_OR_RETURN(
-        backend_a, open_stage2_backend(pair.run_a.checkpoint_path, options,
-                                       &report.io_fallbacks));
+        backend_a, io::open_backend_with_fallback(
+                       pair.run_a.checkpoint_path, options.backend,
+                       options.backend_options, options.backend_fallback,
+                       &report.io_fallbacks));
     REPRO_ASSIGN_OR_RETURN(
-        backend_b, open_stage2_backend(pair.run_b.checkpoint_path, options,
-                                       &report.io_fallbacks));
+        backend_b, io::open_backend_with_fallback(
+                       pair.run_b.checkpoint_path, options.backend,
+                       options.backend_options, options.backend_fallback,
+                       &report.io_fallbacks));
   }
   report.data_bytes = reader_a->data_bytes();
 

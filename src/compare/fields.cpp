@@ -30,21 +30,23 @@ merkle::TreeParams params_for(const FieldCompareOptions& options,
   return params;
 }
 
-repro::Result<merkle::TreeBundle> load_or_build_bundle(
+repro::Result<merkle::MappedBundle> load_or_build_bundle(
     const ckpt::CheckpointReader& reader,
     const std::filesystem::path& bundle_path,
     const FieldCompareOptions& options) {
   if (std::filesystem::exists(bundle_path)) {
-    return merkle::TreeBundle::load(bundle_path);
+    return merkle::MappedBundle::open(bundle_path);
   }
   if (!options.build_metadata_if_missing) {
     return repro::not_found("no metadata bundle at " + bundle_path.string());
   }
   REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
                          reader.read_data());
-  REPRO_ASSIGN_OR_RETURN(merkle::TreeBundle bundle,
+  REPRO_ASSIGN_OR_RETURN(merkle::MappedBundle bundle,
                          build_field_bundle(reader.info(), data, options));
-  const repro::Status saved = bundle.save(bundle_path);
+  const repro::Status saved =
+      repro::write_file(bundle_path, bundle.bytes())
+          .with_context("saving per-field merkle bundle");
   if (!saved.is_ok()) {
     REPRO_LOG_WARN << "could not persist bundle sidecar: "
                    << saved.to_string();
@@ -52,37 +54,29 @@ repro::Result<merkle::TreeBundle> load_or_build_bundle(
   return bundle;
 }
 
-repro::Result<std::unique_ptr<io::IoBackend>> open_backend_with_fallback(
-    const std::filesystem::path& path, const FieldCompareOptions& options) {
-  auto result =
-      io::open_backend(path, options.backend, options.backend_options);
-  if (!result.is_ok() && options.backend_fallback &&
-      result.status().code() == repro::StatusCode::kUnsupported) {
-    return io::open_backend(path, io::BackendKind::kThreadAsync,
-                            options.backend_options);
-  }
-  return result;
-}
-
 }  // namespace
 
-repro::Result<merkle::TreeBundle> build_field_bundle(
+repro::Result<merkle::MappedBundle> build_field_bundle(
     const ckpt::CheckpointInfo& info, std::span<const std::uint8_t> data,
     const FieldCompareOptions& options) {
   if (data.size() != info.data_bytes()) {
     return repro::invalid_argument(
         "data span size does not match the checkpoint layout");
   }
-  merkle::TreeBundle bundle;
+  // FlatBuilder borrows the trees, so they must outlive finish().
+  std::vector<merkle::MerkleTree> trees;
+  trees.reserve(info.fields.size());
+  merkle::FlatBuilder builder;
   for (const auto& field : info.fields) {
-    const merkle::TreeParams params = params_for(options, field);
-    merkle::TreeBuilder builder(params, options.exec);
+    merkle::TreeBuilder tree_builder(params_for(options, field), options.exec);
     REPRO_ASSIGN_OR_RETURN(
         merkle::MerkleTree tree,
-        builder.build(data.subspan(field.data_offset, field.byte_size())));
-    REPRO_RETURN_IF_ERROR(bundle.add(field.name, std::move(tree)));
+        tree_builder.build(
+            data.subspan(field.data_offset, field.byte_size())));
+    trees.push_back(std::move(tree));
+    REPRO_RETURN_IF_ERROR(builder.add(field.name, trees.back()));
   }
-  return bundle;
+  return merkle::MappedBundle::from_bytes(builder.finish());
 }
 
 repro::Result<FieldsReport> compare_fields(
@@ -111,24 +105,30 @@ repro::Result<FieldsReport> compare_fields(
   }
 
   REPRO_ASSIGN_OR_RETURN(
-      const merkle::TreeBundle bundle_a,
+      const merkle::MappedBundle bundle_a,
       load_or_build_bundle(reader_a, checkpoint_a.string() + ".rmrb",
                            options));
   REPRO_ASSIGN_OR_RETURN(
-      const merkle::TreeBundle bundle_b,
+      const merkle::MappedBundle bundle_b,
       load_or_build_bundle(reader_b, checkpoint_b.string() + ".rmrb",
                            options));
 
-  REPRO_ASSIGN_OR_RETURN(auto backend_a,
-                         open_backend_with_fallback(checkpoint_a, options));
-  REPRO_ASSIGN_OR_RETURN(auto backend_b,
-                         open_backend_with_fallback(checkpoint_b, options));
+  REPRO_ASSIGN_OR_RETURN(
+      auto backend_a,
+      io::open_backend_with_fallback(checkpoint_a, options.backend,
+                                     options.backend_options,
+                                     options.backend_fallback));
+  REPRO_ASSIGN_OR_RETURN(
+      auto backend_b,
+      io::open_backend_with_fallback(checkpoint_b, options.backend,
+                                     options.backend_options,
+                                     options.backend_fallback));
 
   std::vector<std::uint8_t> buffer_a;
   std::vector<std::uint8_t> buffer_b;
   for (const auto& field : reader_a.info().fields) {
-    const merkle::MerkleTree* tree_a = bundle_a.find(field.name);
-    const merkle::MerkleTree* tree_b = bundle_b.find(field.name);
+    const merkle::TreeView* tree_a = bundle_a.view().find(field.name);
+    const merkle::TreeView* tree_b = bundle_b.view().find(field.name);
     if (tree_a == nullptr || tree_b == nullptr) {
       return repro::corrupt_data("metadata bundle missing field " +
                                  field.name);

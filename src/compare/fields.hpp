@@ -2,11 +2,12 @@
 //
 // compare_pair() applies one ε to a whole checkpoint. Domain tolerances are
 // usually per variable: positions to 1e-6, velocities to 1e-4, potential to
-// 1e-3. This extension builds (or loads, sidecar "<ckpt>.rmrb") one Merkle
-// tree per field — each at its own bound and chunk size — and runs the
-// two-stage comparison field by field, so a loose-tolerance field prunes to
-// nothing while a tight one is still verified exactly. Reports keep the
-// per-field structure (which field diverged is the scientific question).
+// 1e-3. This extension builds (or maps, sidecar "<ckpt>.rmrb": an RMF2 file
+// with one named tree per field) one Merkle tree per field — each at its
+// own bound and chunk size — and runs the two-stage comparison field by
+// field, so a loose-tolerance field prunes to nothing while a tight one is
+// still verified exactly. Reports keep the per-field structure (which field
+// diverged is the scientific question).
 #pragma once
 
 #include <filesystem>
@@ -20,7 +21,7 @@
 #include "compare/report.hpp"
 #include "io/backend.hpp"
 #include "io/read_planner.hpp"
-#include "merkle/bundle.hpp"
+#include "merkle/flat.hpp"
 #include "par/exec.hpp"
 
 namespace repro::cmp {
@@ -82,8 +83,9 @@ repro::Result<FieldsReport> compare_fields(
     const FieldCompareOptions& options);
 
 /// Build the per-field metadata bundle for one checkpoint (capture-time
-/// path; the offline path calls this implicitly).
-repro::Result<merkle::TreeBundle> build_field_bundle(
+/// path; the offline path calls this implicitly): one tree per field, named
+/// after it, held as an RMF2 multi-tree blob.
+repro::Result<merkle::MappedBundle> build_field_bundle(
     const ckpt::CheckpointInfo& info, std::span<const std::uint8_t> data,
     const FieldCompareOptions& options);
 

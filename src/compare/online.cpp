@@ -1,7 +1,7 @@
 #include "compare/online.hpp"
 
-#include "common/fs.hpp"
 #include "compare/elementwise.hpp"
+#include "merkle/flat.hpp"
 
 namespace repro::cmp {
 
@@ -28,30 +28,26 @@ repro::Result<CompareReport> OnlineComparator::check(
       return repro::failed_precondition(
           "live checkpoint size differs from reference");
     }
-    auto backend_result = io::open_backend(
-        reference.checkpoint_path, options_.backend, options_.backend_options);
-    if (!backend_result.is_ok() && options_.backend_fallback &&
-        backend_result.status().code() == repro::StatusCode::kUnsupported) {
-      backend_result = io::open_backend(reference.checkpoint_path,
-                                        io::BackendKind::kThreadAsync,
-                                        options_.backend_options);
-    }
-    REPRO_ASSIGN_OR_RETURN(backend, std::move(backend_result));
+    REPRO_ASSIGN_OR_RETURN(
+        backend, io::open_backend_with_fallback(
+                     reference.checkpoint_path, options_.backend,
+                     options_.backend_options, options_.backend_fallback,
+                     &report.io_fallbacks));
   }
 
-  // --- read + deserialize reference metadata.
-  merkle::MerkleTree reference_tree;
+  // --- map the reference sidecar (read) and resolve its tree view
+  //     (deserialize), as the offline comparator does.
+  merkle::MappedBundle reference_sidecar;
   {
-    std::vector<std::uint8_t> bytes;
-    {
-      PhaseTimer timer(report.timers, kPhaseRead);
-      REPRO_ASSIGN_OR_RETURN(bytes,
-                             repro::read_file(reference.metadata_path));
-    }
-    report.metadata_bytes_read += bytes.size();
+    PhaseTimer timer(report.timers, kPhaseRead);
+    REPRO_ASSIGN_OR_RETURN(reference_sidecar,
+                           merkle::MappedBundle::open(reference.metadata_path));
+  }
+  report.metadata_bytes_read += reference_sidecar.resident_bytes();
+  merkle::TreeView reference_tree;
+  {
     PhaseTimer timer(report.timers, kPhaseDeserialize);
-    REPRO_ASSIGN_OR_RETURN(reference_tree,
-                           merkle::MerkleTree::deserialize(bytes));
+    REPRO_ASSIGN_OR_RETURN(reference_tree, reference_sidecar.sole_tree());
   }
   if (reference_tree.params().hash.error_bound != options_.error_bound) {
     return repro::failed_precondition(
@@ -79,8 +75,8 @@ repro::Result<CompareReport> OnlineComparator::check(
     merkle::TreeCompareStats stats;
     REPRO_ASSIGN_OR_RETURN(
         candidates,
-        merkle::compare_trees(reference_tree, live_tree, tree_options,
-                              &stats));
+        merkle::compare_trees(reference_tree, merkle::TreeView(live_tree),
+                              tree_options, &stats));
     report.tree_nodes_visited = stats.nodes_visited;
   }
   report.chunks_total = reference_tree.num_chunks();

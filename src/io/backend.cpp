@@ -335,21 +335,29 @@ repro::Result<std::unique_ptr<IoBackend>> open_backend(
   return repro::invalid_argument("bad backend kind");
 }
 
+repro::Result<std::unique_ptr<IoBackend>> open_backend_with_fallback(
+    const std::filesystem::path& path, BackendKind kind,
+    const BackendOptions& options, bool fallback, std::uint64_t* fallbacks) {
+  auto result = open_backend(path, kind, options);
+  if (result.is_ok() || !fallback ||
+      result.status().code() != repro::StatusCode::kUnsupported) {
+    return result;
+  }
+  REPRO_LOG_WARN << backend_name(kind) << " backend unavailable ("
+                 << result.status().message()
+                 << "); falling back to the threads backend for "
+                 << path.string();
+  if (fallbacks != nullptr) ++*fallbacks;
+  return open_backend(path, BackendKind::kThreadAsync, options);
+}
+
 repro::Result<std::unique_ptr<IoBackend>> open_best(
     const std::filesystem::path& path, const BackendOptions& options) {
-  if (uring_available()) {
-    auto result = open_backend(path, BackendKind::kUring, options);
-    // Setup can still fail after a successful probe (fd limits, seccomp
-    // races): degrade rather than failing the comparison.
-    if (result.is_ok() ||
-        result.status().code() != repro::StatusCode::kUnsupported) {
-      return result;
-    }
-    REPRO_LOG_WARN << "io_uring setup failed (" << result.status().message()
-                   << "); falling back to the threads backend for "
-                   << path.string();
-  }
-  return open_backend(path, BackendKind::kThreadAsync, options);
+  // Setup can still fail after a successful probe (fd limits, seccomp
+  // races): degrade rather than failing the comparison.
+  const BackendKind kind =
+      uring_available() ? BackendKind::kUring : BackendKind::kThreadAsync;
+  return open_backend_with_fallback(path, kind, options, true);
 }
 
 }  // namespace repro::io

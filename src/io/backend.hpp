@@ -80,6 +80,15 @@ repro::Result<std::unique_ptr<IoBackend>> open_backend(
     const std::filesystem::path& path, BackendKind kind,
     const BackendOptions& options = {});
 
+/// open_backend(), degrading to the thread-async backend when `kind` is
+/// unsupported here (io_uring refused by the kernel or a sandbox) and
+/// `fallback` is set: logs a warning and counts the switch in `*fallbacks`
+/// (when non-null). With `fallback` false the kUnsupported error stands.
+repro::Result<std::unique_ptr<IoBackend>> open_backend_with_fallback(
+    const std::filesystem::path& path, BackendKind kind,
+    const BackendOptions& options, bool fallback,
+    std::uint64_t* fallbacks = nullptr);
+
 /// io_uring if available, otherwise the thread-async backend.
 repro::Result<std::unique_ptr<IoBackend>> open_best(
     const std::filesystem::path& path, const BackendOptions& options = {});

@@ -15,9 +15,12 @@ constexpr std::uint64_t kHeaderBytes = 32;
 constexpr std::uint64_t kSectionRowBytes = 32;
 constexpr std::uint64_t kTreeRecordBytes = 72;
 constexpr std::uint32_t kMaxSections = 16;
-// Matches the v1 deserializer's plausibility bound: a leaf count beyond
-// this would overflow the padded-layout math before any size check fires.
+// Plausibility bound on untrusted leaf counts: a count beyond this would
+// overflow the padded-layout math before any size check fires.
 constexpr std::uint64_t kMaxLeaves = std::uint64_t{1} << 50;
+// Magics of the retired v1 encodings, kept only to reject them by name.
+constexpr std::uint32_t kLegacyTreeMagic = 0x4B524D52;    // "RMRK"
+constexpr std::uint32_t kLegacyBundleMagic = 0x42524D52;  // "RMRB"
 
 constexpr std::uint64_t align_up(std::uint64_t value) noexcept {
   return (value + (kFlatSectionAlign - 1)) & ~(kFlatSectionAlign - 1);
@@ -60,7 +63,6 @@ struct FlatMetrics {
   telemetry::Counter& opens;
   telemetry::Counter& mapped_opens;
   telemetry::Counter& heap_fallbacks;
-  telemetry::Counter& v1_conversions;
 
   static FlatMetrics& get() {
     auto& registry = telemetry::MetricsRegistry::global();
@@ -68,34 +70,12 @@ struct FlatMetrics {
         registry.counter("merkle.flat.opens"),
         registry.counter("merkle.flat.mapped_opens"),
         registry.counter("merkle.flat.heap_fallbacks"),
-        registry.counter("merkle.flat.v1_conversions"),
     };
     return *metrics;
   }
 };
 
 }  // namespace
-
-SidecarFormat detect_sidecar_format(
-    std::span<const std::uint8_t> bytes) noexcept {
-  if (bytes.size() < sizeof(std::uint32_t)) return SidecarFormat::kUnknown;
-  switch (load_u32(bytes.data())) {
-    case 0x4B524D52: return SidecarFormat::kV1Tree;    // "RMRK"
-    case 0x42524D52: return SidecarFormat::kV1Bundle;  // "RMRB"
-    case kFlatMagic: return SidecarFormat::kV2Flat;    // "RMF2"
-    default: return SidecarFormat::kUnknown;
-  }
-}
-
-std::string_view sidecar_format_name(SidecarFormat format) noexcept {
-  switch (format) {
-    case SidecarFormat::kV1Tree: return "RMRK v1 (legacy tree)";
-    case SidecarFormat::kV1Bundle: return "RMRB v1 (legacy bundle)";
-    case SidecarFormat::kV2Flat: return "RMF2 v2 (flat, mmap-able)";
-    case SidecarFormat::kUnknown: break;
-  }
-  return "unknown";
-}
 
 // ---- TreeView --------------------------------------------------------------
 
@@ -135,6 +115,19 @@ const TreeView* BundleView::find(std::string_view name) const noexcept {
 repro::Result<BundleView> BundleView::parse(
     std::span<const std::uint8_t> bytes, bool verify_checksums) {
   const std::uint8_t* base = bytes.data();
+  if (bytes.size() >= sizeof(std::uint32_t)) {
+    const std::uint32_t magic = load_u32(base);
+    if (magic == kLegacyTreeMagic) {
+      return repro::unsupported(
+          "legacy v1 sidecar (RMRK) is not supported; rebuild it with "
+          "repro-cli tree");
+    }
+    if (magic == kLegacyBundleMagic) {
+      return repro::unsupported(
+          "legacy v1 sidecar (RMRB) is not supported; delete it and rerun "
+          "repro-cli fields to rebuild it");
+    }
+  }
   if (bytes.size() < kHeaderBytes) {
     return repro::corrupt_data("flat sidecar shorter than its header");
   }
@@ -145,8 +138,8 @@ repro::Result<BundleView> BundleView::parse(
   if (version != kFlatVersion) {
     return repro::unsupported(
         "flat sidecar version " + std::to_string(version) +
-        " (this build reads RMRK v1 and RMF2 v2); `repro-cli migrate` "
-        "rewrites sidecars between supported formats");
+        " is not supported (this build reads RMF2 version " +
+        std::to_string(kFlatVersion) + ")");
   }
   if (load_u32(base + 8) != kHeaderBytes) {
     return repro::corrupt_data("flat sidecar header size mismatch");
@@ -388,8 +381,8 @@ repro::Status FlatBuilder::add(std::string name, const MerkleTree& tree) {
 
 namespace {
 
-/// Shared offset math for output_bytes()/finish(): sections in table order,
-/// each 8-aligned, with the optional RMFD delta section last.
+/// Offset math shared by every writer: sections in table order, each
+/// 8-aligned, with the optional RMFD delta section last.
 struct FlatLayout {
   std::uint32_t section_count = 3;
   std::uint64_t table_off = 0;
@@ -403,45 +396,47 @@ struct FlatLayout {
   std::uint64_t total = 0;
 };
 
+FlatLayout plan_layout(std::uint64_t tree_count, std::uint64_t names_len,
+                       std::uint64_t nodes_len,
+                       const std::optional<TreeDelta>& delta) noexcept {
+  FlatLayout layout;
+  layout.section_count = delta.has_value() ? 4 : 3;
+  layout.table_len = 8 + tree_count * kTreeRecordBytes;
+  layout.names_len = names_len;
+  layout.nodes_len = nodes_len;
+  layout.table_off = kHeaderBytes + layout.section_count * kSectionRowBytes;
+  layout.names_off = align_up(layout.table_off + layout.table_len);
+  layout.nodes_off = align_up(layout.names_off + layout.names_len);
+  layout.total = layout.nodes_off + layout.nodes_len;
+  if (delta.has_value()) {
+    layout.delta_off = align_up(layout.total);
+    layout.delta_len = delta->encoded_bytes();
+    layout.total = layout.delta_off + layout.delta_len;
+  }
+  return layout;
+}
+
 }  // namespace
 
 std::uint64_t FlatBuilder::output_bytes() const noexcept {
-  FlatLayout layout;
-  layout.section_count = delta_.has_value() ? 4 : 3;
-  layout.table_len = 8 + entries_.size() * kTreeRecordBytes;
+  std::uint64_t names_len = 0;
+  std::uint64_t nodes_len = 0;
   for (const Entry& entry : entries_) {
-    layout.names_len += entry.name.size();
-    layout.nodes_len += entry.tree->nodes().size() * hash::kDigestBytes;
+    names_len += entry.name.size();
+    nodes_len += entry.tree->nodes().size() * hash::kDigestBytes;
   }
-  layout.table_off = kHeaderBytes + layout.section_count * kSectionRowBytes;
-  layout.names_off = align_up(layout.table_off + layout.table_len);
-  layout.nodes_off = align_up(layout.names_off + layout.names_len);
-  layout.total = layout.nodes_off + layout.nodes_len;
-  if (delta_.has_value()) {
-    layout.delta_off = align_up(layout.total);
-    layout.delta_len = delta_->encoded_bytes();
-    layout.total = layout.delta_off + layout.delta_len;
-  }
-  return layout.total;
+  return plan_layout(entries_.size(), names_len, nodes_len, delta_).total;
 }
 
 std::vector<std::uint8_t> FlatBuilder::finish() const {
-  FlatLayout layout;
-  layout.section_count = delta_.has_value() ? 4 : 3;
-  layout.table_len = 8 + entries_.size() * kTreeRecordBytes;
+  std::uint64_t entry_names_len = 0;
+  std::uint64_t entry_nodes_len = 0;
   for (const Entry& entry : entries_) {
-    layout.names_len += entry.name.size();
-    layout.nodes_len += entry.tree->nodes().size() * hash::kDigestBytes;
+    entry_names_len += entry.name.size();
+    entry_nodes_len += entry.tree->nodes().size() * hash::kDigestBytes;
   }
-  layout.table_off = kHeaderBytes + layout.section_count * kSectionRowBytes;
-  layout.names_off = align_up(layout.table_off + layout.table_len);
-  layout.nodes_off = align_up(layout.names_off + layout.names_len);
-  layout.total = layout.nodes_off + layout.nodes_len;
-  if (delta_.has_value()) {
-    layout.delta_off = align_up(layout.total);
-    layout.delta_len = delta_->encoded_bytes();
-    layout.total = layout.delta_off + layout.delta_len;
-  }
+  const FlatLayout layout = plan_layout(entries_.size(), entry_names_len,
+                                        entry_nodes_len, delta_);
   const std::uint64_t table_off = layout.table_off;
   const std::uint64_t table_len = layout.table_len;
   const std::uint64_t names_off = layout.names_off;
@@ -540,24 +535,15 @@ std::vector<std::uint8_t> flat_serialize(const MerkleTree& tree) {
   return builder.finish();
 }
 
-std::vector<std::uint8_t> flat_serialize(const TreeBundle& bundle) {
-  FlatBuilder builder;
-  for (const auto& [name, tree] : bundle.entries()) {
-    (void)builder.add(name, tree);
-  }
-  return builder.finish();
-}
-
 repro::Status save_flat(const MerkleTree& tree,
                         const std::filesystem::path& path) {
   return repro::write_file(path, flat_serialize(tree))
       .with_context("saving flat merkle metadata");
 }
 
-repro::Status save_flat(const TreeBundle& bundle,
-                        const std::filesystem::path& path) {
-  return repro::write_file(path, flat_serialize(bundle))
-      .with_context("saving flat merkle bundle");
+std::uint64_t flat_tree_bytes(std::uint64_t num_nodes) noexcept {
+  return plan_layout(1, 0, num_nodes * hash::kDigestBytes, std::nullopt)
+      .total;
 }
 
 std::vector<std::uint8_t> flat_serialize_delta(const TreeDelta& delta) {
@@ -575,50 +561,7 @@ repro::Status save_flat_delta(const TreeDelta& delta,
       .with_context("saving differential merkle sidecar");
 }
 
-repro::Status save_sidecar(const MerkleTree& tree,
-                           const std::filesystem::path& path,
-                           SidecarWriteFormat format) {
-  if (format == SidecarWriteFormat::kLegacyV1) return tree.save(path);
-  return save_flat(tree, path);
-}
-
 // ---- MappedBundle ----------------------------------------------------------
-
-repro::Result<MappedBundle> MappedBundle::adopt(
-    MappedBundle bundle, std::span<const std::uint8_t> raw) {
-  switch (detect_sidecar_format(raw)) {
-    case SidecarFormat::kV2Flat: {
-      REPRO_ASSIGN_OR_RETURN(bundle.view_, BundleView::parse(raw));
-      return bundle;
-    }
-    case SidecarFormat::kV1Tree: {
-      FlatMetrics::get().v1_conversions.increment();
-      REPRO_ASSIGN_OR_RETURN(MerkleTree tree, MerkleTree::deserialize(raw));
-      std::vector<std::uint8_t> flat = flat_serialize(tree);
-      bundle.region_ = io::MmapRegion{};  // raw may alias the mapping
-      bundle.heap_ = std::move(flat);
-      bundle.converted_ = true;
-      REPRO_ASSIGN_OR_RETURN(bundle.view_,
-                             BundleView::parse(bundle.heap_, false));
-      return bundle;
-    }
-    case SidecarFormat::kV1Bundle: {
-      FlatMetrics::get().v1_conversions.increment();
-      REPRO_ASSIGN_OR_RETURN(TreeBundle legacy, TreeBundle::deserialize(raw));
-      std::vector<std::uint8_t> flat = flat_serialize(legacy);
-      bundle.region_ = io::MmapRegion{};
-      bundle.heap_ = std::move(flat);
-      bundle.converted_ = true;
-      REPRO_ASSIGN_OR_RETURN(bundle.view_,
-                             BundleView::parse(bundle.heap_, false));
-      return bundle;
-    }
-    case SidecarFormat::kUnknown:
-      break;
-  }
-  return repro::corrupt_data(
-      "unrecognized sidecar magic (expected RMRK, RMRB, or RMF2)");
-}
 
 repro::Result<MappedBundle> MappedBundle::open(
     const std::filesystem::path& path) {
@@ -627,9 +570,10 @@ repro::Result<MappedBundle> MappedBundle::open(
   if (region.is_ok()) {
     MappedBundle bundle;
     bundle.region_ = std::move(region.value());
-    const std::span<const std::uint8_t> raw = bundle.region_.bytes();
     FlatMetrics::get().mapped_opens.increment();
-    return adopt(std::move(bundle), raw);
+    REPRO_ASSIGN_OR_RETURN(bundle.view_,
+                           BundleView::parse(bundle.region_.bytes()));
+    return bundle;
   }
   // Missing files stay hard errors; only the map step degrades to a read.
   if (!std::filesystem::exists(path)) {
@@ -645,8 +589,8 @@ repro::Result<MappedBundle> MappedBundle::from_bytes(
     std::vector<std::uint8_t> bytes) {
   MappedBundle bundle;
   bundle.heap_ = std::move(bytes);
-  const std::span<const std::uint8_t> raw{bundle.heap_};
-  return adopt(std::move(bundle), raw);
+  REPRO_ASSIGN_OR_RETURN(bundle.view_, BundleView::parse(bundle.heap_));
+  return bundle;
 }
 
 repro::Result<TreeView> MappedBundle::sole_tree() const {

@@ -1,15 +1,14 @@
-// Sidecar format v2 ("RMF2"): flat, offset-based Merkle metadata laid out
-// for mapping, not parsing.
+// Merkle sidecar format ("RMF2"): flat, offset-based metadata laid out for
+// mapping, not parsing.
 //
-// The v1 codecs (tree.cpp / bundle.cpp) parse byte streams into heap node
-// vectors, so every load — even a warm service cache hit used to — pays
-// O(nodes) decode work and allocator traffic. v2 stores the same content as
-// a fixed little-endian layout that is *used in place*: a header, a section
-// table, and 8-byte-aligned checksummed sections holding fixed-size tree
-// records, a name blob, and the raw digest array. Readers are non-owning
-// views over `const std::uint8_t*`; every multi-byte access goes through a
-// memcpy helper, so views are alignment- and strict-aliasing-safe on any
-// byte span (mapped, heap, or mid-buffer).
+// RMF2 is the only sidecar format: every writer emits it and every reader
+// goes through MappedBundle -> BundleView -> TreeView. The format is *used
+// in place*: a header, a section table, and 8-byte-aligned checksummed
+// sections holding fixed-size tree records, a name blob, and the raw digest
+// array, so a load costs no O(nodes) decode and no allocator traffic.
+// Readers are non-owning views over `const std::uint8_t*`; every multi-byte
+// access goes through a memcpy helper, so views are alignment- and
+// strict-aliasing-safe on any byte span (mapped, heap, or mid-buffer).
 //
 //   offset 0                      FlatHeader (32 bytes)
 //   offset 32                     section table: section_count x 32 bytes
@@ -23,10 +22,10 @@
 //                concatenated (records hold byte offsets into this section)
 //
 // A single-tree `.rmrk` sidecar is the one-entry case with an empty name; a
-// per-field bundle stores one record per field. v1 files remain readable
-// through the compat shims (MerkleTree::load / TreeBundle::load detect the
-// magic and fall back to the legacy deserializers); `repro-cli migrate`
-// rewrites between formats. See docs/FORMATS.md.
+// per-field `.rmrb` sidecar stores one record per field. The retired v1
+// encodings (RMRK trees, RMRB bundles) are recognized by magic only so that
+// parse() can reject them with an error that names the fix. See
+// docs/FORMATS.md.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,6 @@
 
 #include "common/status.hpp"
 #include "io/mmap.hpp"
-#include "merkle/bundle.hpp"
 #include "merkle/tree.hpp"
 
 namespace repro::merkle {
@@ -64,18 +62,6 @@ struct SectionInfo {
   std::uint64_t length = 0;
   std::uint64_t checksum = 0;
 };
-
-/// Which on-disk encoding a sidecar byte blob carries.
-enum class SidecarFormat : std::uint8_t {
-  kUnknown = 0,
-  kV1Tree,    ///< "RMRK" legacy single tree
-  kV1Bundle,  ///< "RMRB" legacy named-tree bundle
-  kV2Flat,    ///< "RMF2" flat mmap-able layout (tree or bundle)
-};
-
-SidecarFormat detect_sidecar_format(
-    std::span<const std::uint8_t> bytes) noexcept;
-std::string_view sidecar_format_name(SidecarFormat format) noexcept;
 
 /// One changed node of a differential sidecar: flat-layout index + digest.
 struct DeltaNode {
@@ -156,13 +142,8 @@ class TreeView {
     return {begin, end};
   }
 
-  /// Metadata footprint of this tree (digest bytes + fixed record).
-  [[nodiscard]] std::uint64_t metadata_bytes() const noexcept {
-    return 72 + layout_.num_nodes() * hash::kDigestBytes;
-  }
-
-  /// Copy out an owning MerkleTree (the v2 -> v1 compat direction; also
-  /// used where a caller genuinely needs mutable nodes, e.g. DeltaStore).
+  /// Copy out an owning MerkleTree, for callers that need mutable nodes
+  /// (DeltaStore, the node store, the WATCH monitor).
   [[nodiscard]] repro::Result<MerkleTree> materialize() const;
 
  private:
@@ -183,9 +164,9 @@ class BundleView {
   BundleView() = default;
 
   /// Parse and validate `bytes` (which the caller keeps alive). Checksum
-  /// verification is one Murmur3F pass per section — cheap relative to a v1
-  /// decode, but skippable for hot in-process paths that just built the
-  /// blob themselves.
+  /// verification is one Murmur3F pass per section, skippable for hot
+  /// in-process paths that just built the blob themselves. A retired v1
+  /// sidecar (RMRK/RMRB magic) fails with kUnsupported and names the fix.
   static repro::Result<BundleView> parse(std::span<const std::uint8_t> bytes,
                                          bool verify_checksums = true);
 
@@ -257,32 +238,23 @@ class FlatBuilder {
   std::optional<TreeDelta> delta_;
 };
 
-/// Single-tree / bundle conveniences (what v2-writing call sites use).
+/// Single-tree conveniences (the sidecar of one whole checkpoint).
 std::vector<std::uint8_t> flat_serialize(const MerkleTree& tree);
-std::vector<std::uint8_t> flat_serialize(const TreeBundle& bundle);
 /// Delta-only differential sidecar: empty tree table + RMFD section.
 std::vector<std::uint8_t> flat_serialize_delta(const TreeDelta& delta);
 repro::Status save_flat(const MerkleTree& tree,
                         const std::filesystem::path& path);
-repro::Status save_flat(const TreeBundle& bundle,
-                        const std::filesystem::path& path);
 repro::Status save_flat_delta(const TreeDelta& delta,
                               const std::filesystem::path& path);
 
-/// Which encoding sidecar writers emit. v2 is the default everywhere; v1
-/// remains writable so compat fixtures and downgrade migrations exist.
-enum class SidecarWriteFormat : std::uint8_t { kFlatV2 = 0, kLegacyV1 = 1 };
-
-repro::Status save_sidecar(const MerkleTree& tree,
-                           const std::filesystem::path& path,
-                           SidecarWriteFormat format);
+/// Exact size of the single-tree sidecar flat_serialize() writes for a tree
+/// of `num_nodes` digests.
+std::uint64_t flat_tree_bytes(std::uint64_t num_nodes) noexcept;
 
 /// Owning handle over a sidecar's bytes plus its parsed BundleView: the
 /// value type of the service metadata cache and of every zero-copy load
 /// path. open() prefers mmap (page-cache backed, shareable read-only across
-/// processes) and degrades to a heap read when mapping fails; v1 files are
-/// transparently converted through the legacy deserializers into a
-/// heap-backed v2 blob, so downstream code sees exactly one representation.
+/// processes) and degrades to a heap read when mapping fails.
 class MappedBundle {
  public:
   MappedBundle() = default;
@@ -292,13 +264,12 @@ class MappedBundle {
   MappedBundle& operator=(const MappedBundle&) = delete;
 
   static repro::Result<MappedBundle> open(const std::filesystem::path& path);
-  /// Adopt an in-memory blob (either format; v1 is converted).
+  /// Adopt an in-memory blob.
   static repro::Result<MappedBundle> from_bytes(
       std::vector<std::uint8_t> bytes);
 
   [[nodiscard]] const BundleView& view() const noexcept { return view_; }
-  /// The raw flat-v2 bytes backing the views (mapped or heap; a converted
-  /// v1 source is already re-encoded). What `repro-cli migrate` writes out.
+  /// The raw RMF2 bytes backing the views (mapped or heap).
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return region_.mapped() ? region_.bytes()
                             : std::span<const std::uint8_t>(heap_);
@@ -309,21 +280,15 @@ class MappedBundle {
 
   /// True when the bytes are an active file mapping (zero-copy path).
   [[nodiscard]] bool mapped() const noexcept { return region_.mapped(); }
-  /// True when the source was a v1 sidecar that had to be deserialized.
-  [[nodiscard]] bool converted_from_v1() const noexcept { return converted_; }
   /// Resident footprint: mapped or heap-held bytes backing the views.
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
     return region_.mapped() ? region_.size() : heap_.size();
   }
 
  private:
-  static repro::Result<MappedBundle> adopt(MappedBundle bundle,
-                                           std::span<const std::uint8_t> raw);
-
   io::MmapRegion region_;           ///< set when mapped
-  std::vector<std::uint8_t> heap_;  ///< set on fallback / conversion
+  std::vector<std::uint8_t> heap_;  ///< set on heap fallback / from_bytes
   BundleView view_;
-  bool converted_ = false;
 };
 
 }  // namespace repro::merkle

@@ -1,8 +1,5 @@
 #include "merkle/tree.hpp"
 
-#include <cstring>
-
-#include "common/fs.hpp"
 #include "common/timer.hpp"
 #include "hash/murmur3.hpp"
 #include "merkle/flat.hpp"
@@ -10,11 +7,6 @@
 #include "telemetry/trace.hpp"
 
 namespace repro::merkle {
-
-namespace {
-constexpr std::uint32_t kMagic = 0x4B524D52;  // "RMRK"
-constexpr std::uint32_t kVersion = 1;
-}  // namespace
 
 std::uint32_t value_size(ValueKind kind) noexcept {
   switch (kind) {
@@ -60,110 +52,7 @@ hash::Digest128 padding_digest() noexcept {
 }
 
 std::uint64_t MerkleTree::metadata_bytes() const noexcept {
-  // Header fields (see serialize()) + digests.
-  return 64 + layout_.num_nodes() * hash::kDigestBytes;
-}
-
-std::uint64_t MerkleTree::serialized_bytes() const noexcept {
-  // Field-by-field sum of the v1 header (see serialize_into) + digests.
-  return 4 + 4 + 8 + 8 + 1 + 8 + 4 + 8 + 8 +
-         nodes_.size() * hash::kDigestBytes;
-}
-
-std::vector<std::uint8_t> MerkleTree::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(serialized_bytes());
-  ByteWriter writer(out);
-  serialize_into(writer);
-  return out;
-}
-
-void MerkleTree::serialize_into(ByteWriter& writer) const {
-  writer.put_u32(kMagic);
-  writer.put_u32(kVersion);
-  writer.put_u64(data_bytes_);
-  writer.put_u64(params_.chunk_bytes);
-  writer.put_u8(static_cast<std::uint8_t>(params_.value_kind));
-  writer.put_f64(params_.hash.error_bound);
-  writer.put_u32(params_.hash.values_per_block);
-  writer.put_u64(layout_.num_leaves);
-  writer.put_u64(nodes_.size());
-  for (const auto& digest : nodes_) {
-    writer.put_u64(digest.lo);
-    writer.put_u64(digest.hi);
-  }
-}
-
-repro::Status MerkleTree::save(const std::filesystem::path& path) const {
-  const auto bytes = serialize();
-  return repro::write_file(path, bytes)
-      .with_context("saving merkle metadata");
-}
-
-repro::Result<MerkleTree> MerkleTree::deserialize(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader reader(bytes);
-  REPRO_ASSIGN_OR_RETURN(const std::uint32_t magic, reader.get_u32());
-  if (magic != kMagic) {
-    return repro::corrupt_data("bad merkle metadata magic");
-  }
-  REPRO_ASSIGN_OR_RETURN(const std::uint32_t version, reader.get_u32());
-  if (version != kVersion) {
-    return repro::unsupported(
-        "merkle metadata version " + std::to_string(version) +
-        " (this build reads RMRK v1 and RMF2 v2); `repro-cli migrate` "
-        "rewrites sidecars between supported formats");
-  }
-  MerkleTree tree;
-  REPRO_ASSIGN_OR_RETURN(tree.data_bytes_, reader.get_u64());
-  REPRO_ASSIGN_OR_RETURN(tree.params_.chunk_bytes, reader.get_u64());
-  REPRO_ASSIGN_OR_RETURN(const std::uint8_t kind, reader.get_u8());
-  if (kind > static_cast<std::uint8_t>(ValueKind::kBytes)) {
-    return repro::corrupt_data("bad value kind in merkle metadata");
-  }
-  tree.params_.value_kind = static_cast<ValueKind>(kind);
-  REPRO_ASSIGN_OR_RETURN(tree.params_.hash.error_bound, reader.get_f64());
-  REPRO_ASSIGN_OR_RETURN(tree.params_.hash.values_per_block, reader.get_u32());
-  std::uint64_t num_leaves = 0;
-  REPRO_ASSIGN_OR_RETURN(num_leaves, reader.get_u64());
-  // Untrusted input: an absurd leaf count would overflow the layout math
-  // (and ask for an absurd allocation below) before the node-count check.
-  if (num_leaves > (std::uint64_t{1} << 50)) {
-    return repro::corrupt_data("implausible leaf count in merkle metadata");
-  }
-  tree.layout_ = TreeLayout::for_leaves(num_leaves);
-  REPRO_ASSIGN_OR_RETURN(const std::uint64_t num_nodes, reader.get_u64());
-  if (num_nodes != tree.layout_.num_nodes()) {
-    return repro::corrupt_data("node count inconsistent with leaf count");
-  }
-  // The digests must actually fit in the remaining payload; checking before
-  // the resize keeps a crafted header from forcing a huge allocation.
-  if (num_nodes > reader.remaining() / hash::kDigestBytes) {
-    return repro::corrupt_data("merkle metadata truncated");
-  }
-  REPRO_RETURN_IF_ERROR(validate(tree.params_));
-  tree.nodes_.resize(num_nodes);
-  for (auto& digest : tree.nodes_) {
-    REPRO_ASSIGN_OR_RETURN(digest.lo, reader.get_u64());
-    REPRO_ASSIGN_OR_RETURN(digest.hi, reader.get_u64());
-  }
-  return tree;
-}
-
-repro::Result<MerkleTree> MerkleTree::load(
-    const std::filesystem::path& path) {
-  REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
-                         repro::read_file(path));
-  if (detect_sidecar_format(bytes) == SidecarFormat::kV2Flat) {
-    REPRO_ASSIGN_OR_RETURN(const BundleView view, BundleView::parse(bytes));
-    if (view.size() != 1) {
-      return repro::failed_precondition(
-          path.string() + " holds " + std::to_string(view.size()) +
-          " named trees; load it as a bundle");
-    }
-    return view.tree(0).materialize();
-  }
-  return deserialize(bytes);
+  return flat_tree_bytes(nodes_.size());
 }
 
 repro::Result<MerkleTree> MerkleTree::from_parts(

@@ -1,17 +1,15 @@
 // Merkle-tree compact checkpoint metadata (Section 2.3, Algorithm 1).
 //
 // One error-bounded digest per chunk forms the leaves; internal nodes hash
-// the concatenation of their children. The serialized tree is the only thing
-// a comparison has to read when two runs agree — the paper's "ideal case"
-// where no checkpoint bulk data is touched at all.
+// the concatenation of their children. The tree's sidecar (merkle/flat.hpp)
+// is the only thing a comparison has to read when two runs agree — the
+// paper's "ideal case" where no checkpoint bulk data is touched at all.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <span>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "hash/chunk_hasher.hpp"
 #include "hash/digest.hpp"
@@ -77,30 +75,12 @@ class MerkleTree {
     return {begin, end};
   }
 
-  /// Serialized metadata size in bytes (the paper's ~2·D·(N/C) footprint
-  /// plus a fixed header).
+  /// Size in bytes of this tree's sidecar as save_flat() writes it (the
+  /// paper's ~2·D·(N/C) digest footprint plus the fixed RMF2 framing).
   [[nodiscard]] std::uint64_t metadata_bytes() const noexcept;
 
-  /// Exact byte size serialize() produces (header + digest payload).
-  [[nodiscard]] std::uint64_t serialized_bytes() const noexcept;
-
-  /// Serialize to a byte buffer / file ("RMRK" format, version 1). The
-  /// buffer behind `serialize` is reserved to the exact output size up
-  /// front; `serialize_into` appends the same encoding to a caller-owned
-  /// writer (lets bundles emit entries without per-tree temporaries).
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
-  void serialize_into(ByteWriter& writer) const;
-  repro::Status save(const std::filesystem::path& path) const;
-
-  /// Parse the legacy "RMRK" v1 stream specifically. load() is the compat
-  /// shim: it detects the on-disk format by magic and accepts both v1
-  /// sidecars and single-tree flat v2 sidecars (see merkle/flat.hpp).
-  static repro::Result<MerkleTree> deserialize(
-      std::span<const std::uint8_t> bytes);
-  static repro::Result<MerkleTree> load(const std::filesystem::path& path);
-
   /// Assemble a tree from already-validated components (the materialize
-  /// path of flat v2 views). `nodes` must hold exactly the layout's node
+  /// path of flat sidecar views). `nodes` must hold exactly the layout's node
   /// count for `num_leaves`.
   static repro::Result<MerkleTree> from_parts(
       TreeParams params, std::uint64_t data_bytes, std::uint64_t num_leaves,

@@ -43,7 +43,6 @@ struct CacheMetrics {
   telemetry::Counter& hits;
   telemetry::Counter& misses;
   telemetry::Counter& evictions;
-  telemetry::Counter& deserializes;
 
   static CacheMetrics& get() {
     auto& registry = telemetry::MetricsRegistry::global();
@@ -51,7 +50,6 @@ struct CacheMetrics {
         registry.counter("svc.cache.hits"),
         registry.counter("svc.cache.misses"),
         registry.counter("svc.cache.evictions"),
-        registry.counter("svc.cache.deserialize_count"),
     };
     return *metrics;
   }
@@ -77,7 +75,7 @@ std::size_t MetadataCache::shard_for(const std::string& key) const {
 std::uint64_t MetadataCache::charge_for(const std::string& key,
                                         const BundlePtr& bundle) {
   // Mapped bundles cost their file size (the pages the mapping can keep
-  // resident); converted/heap bundles cost their blob. Add the key and a
+  // resident); heap bundles cost their blob. Add the key and a
   // fixed allowance for map/list nodes so byte budgets stay honest for
   // many tiny trees.
   constexpr std::uint64_t kEntryOverhead = 128;
@@ -138,13 +136,6 @@ repro::Result<BundlePtr> MetadataCache::get_or_load(
   // Load outside the lock: a slow sidecar read must not serialize every
   // lookup that hashes to this shard.
   REPRO_ASSIGN_OR_RETURN(merkle::MappedBundle loaded, loader());
-  if (loaded.converted_from_v1()) {
-    // The one case a load still parses: a legacy v1 sidecar went through
-    // its deserializer. Warm hits and v2 loads never bump this.
-    CacheMetrics::get().deserializes.increment();
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.deserializes;
-  }
   BundlePtr bundle =
       std::make_shared<const merkle::MappedBundle>(std::move(loaded));
 
@@ -185,7 +176,6 @@ CacheStats MetadataCache::stats() const {
     total.evictions += shard->evictions;
     total.insertions += shard->insertions;
     total.bypasses += shard->bypasses;
-    total.deserializes += shard->deserializes;
     total.bytes += shard->bytes;
     total.entries += shard->entries.size();
   }

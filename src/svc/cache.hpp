@@ -5,15 +5,11 @@
 // resident set of sidecars answers repeat COMPARE/TIMELINE queries with zero
 // sidecar I/O. Keys are canonical sidecar identities (one tree per (run,
 // iteration, rank) — equivalently per metadata path); values are immutable
-// MappedBundles behind shared_ptr: for flat v2 sidecars that is an mmap'd
-// region used in place (zero parse work, page-cache-backed, shareable
-// read-only across processes), for legacy v1 sidecars a one-time converted
-// heap blob. An entry stays alive ("is pinned") for as long as any in-flight
-// compare holds it, even if the shard evicts it concurrently.
-//
-// The `svc.cache.deserialize_count` counter records how many loads had to
-// run a v1 deserializer; warm hits — and every v2 load — keep it flat, which
-// perf_smoke asserts.
+// MappedBundles behind shared_ptr: an mmap'd region used in place (zero parse
+// work, page-cache-backed, shareable read-only across processes), or a heap
+// blob for resolved differential chains. An entry stays alive ("is pinned")
+// for as long as any in-flight compare holds it, even if the shard evicts it
+// concurrently.
 //
 // Concurrency: the key space is hash-partitioned over `num_shards`
 // independent shards, each with its own mutex, LRU list, and slice of the
@@ -69,8 +65,6 @@ struct CacheStats {
   /// Entries too large for their shard's budget slice: served to the caller
   /// but never inserted (they would evict an entire shard for one query).
   std::uint64_t bypasses = 0;
-  /// Loads that ran a legacy v1 deserializer (flat v2 loads never do).
-  std::uint64_t deserializes = 0;
   std::uint64_t bytes = 0;    ///< currently charged
   std::uint64_t entries = 0;  ///< currently resident
 };
@@ -132,7 +126,6 @@ class MetadataCache {
     std::uint64_t evictions = 0;
     std::uint64_t insertions = 0;
     std::uint64_t bypasses = 0;
-    std::uint64_t deserializes = 0;
   };
 
   /// Bytes charged for one entry: resident sidecar bytes (mapped or heap) +

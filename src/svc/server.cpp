@@ -1546,7 +1546,6 @@ struct Server::Impl {
     append_kv(out, "evictions", cs.evictions, &first);
     append_kv(out, "insertions", cs.insertions, &first);
     append_kv(out, "bypasses", cs.bypasses, &first);
-    append_kv(out, "deserializes", cs.deserializes, &first);
     append_kv(out, "bytes", cs.bytes, &first);
     append_kv(out, "entries", cs.entries, &first);
     append_kv(out, "budget_bytes", cache.byte_budget(), &first);

@@ -1,8 +1,12 @@
-#include "merkle/bundle.hpp"
+// Named-tree bundles: one tree per field, each under its own parameters,
+// written by FlatBuilder and read back through MappedBundle (the per-field
+// `.rmrb` sidecar).
+#include "merkle/flat.hpp"
 
 #include <gtest/gtest.h>
 
-#include "common/fs.hpp"
+#include "merkle/tree.hpp"
+#include "par/exec.hpp"
 #include "sim/workload.hpp"
 
 namespace repro::merkle {
@@ -20,89 +24,52 @@ MerkleTree tree_of(const std::vector<float>& values, double eps,
 }
 
 TEST(TreeBundle, AddAndFind) {
-  TreeBundle bundle;
-  EXPECT_TRUE(bundle.add("X", tree_of(sim::generate_field(1000, 1), 1e-5))
-                  .is_ok());
-  EXPECT_TRUE(bundle.add("PHI", tree_of(sim::generate_field(1000, 2), 1e-3))
-                  .is_ok());
-  EXPECT_EQ(bundle.size(), 2U);
-  ASSERT_NE(bundle.find("X"), nullptr);
-  ASSERT_NE(bundle.find("PHI"), nullptr);
-  EXPECT_EQ(bundle.find("MISSING"), nullptr);
-  EXPECT_DOUBLE_EQ(bundle.find("PHI")->params().hash.error_bound, 1e-3);
+  const MerkleTree x = tree_of(sim::generate_field(1000, 1), 1e-5);
+  const MerkleTree phi = tree_of(sim::generate_field(1000, 2), 1e-3);
+  FlatBuilder builder;
+  EXPECT_TRUE(builder.add("X", x).is_ok());
+  EXPECT_TRUE(builder.add("PHI", phi).is_ok());
+  EXPECT_EQ(builder.size(), 2U);
+
+  const auto bundle = MappedBundle::from_bytes(builder.finish());
+  ASSERT_TRUE(bundle.is_ok()) << bundle.status().to_string();
+  const BundleView& view = bundle.value().view();
+  EXPECT_EQ(view.size(), 2U);
+  ASSERT_NE(view.find("X"), nullptr);
+  ASSERT_NE(view.find("PHI"), nullptr);
+  EXPECT_EQ(view.find("MISSING"), nullptr);
+  EXPECT_DOUBLE_EQ(view.find("PHI")->params().hash.error_bound, 1e-3);
 }
 
 TEST(TreeBundle, DuplicateNameRejected) {
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("X", tree_of(sim::generate_field(100, 3), 1e-5))
-                  .is_ok());
-  EXPECT_EQ(bundle.add("X", tree_of(sim::generate_field(100, 4), 1e-5))
-                .code(),
+  const MerkleTree first = tree_of(sim::generate_field(100, 3), 1e-5);
+  const MerkleTree second = tree_of(sim::generate_field(100, 4), 1e-5);
+  FlatBuilder builder;
+  ASSERT_TRUE(builder.add("X", first).is_ok());
+  EXPECT_EQ(builder.add("X", second).code(),
             repro::StatusCode::kAlreadyExists);
+  EXPECT_EQ(builder.size(), 1U);
 }
 
 TEST(TreeBundle, SerializationRoundTrip) {
-  TreeBundle bundle;
-  const auto x = sim::generate_field(5000, 5);
-  const auto phi = sim::generate_field(3000, 6);
-  ASSERT_TRUE(bundle.add("X", tree_of(x, 1e-6, 512)).is_ok());
-  ASSERT_TRUE(bundle.add("PHI", tree_of(phi, 1e-2, 2048)).is_ok());
+  const MerkleTree x = tree_of(sim::generate_field(5000, 5), 1e-6, 512);
+  const MerkleTree phi = tree_of(sim::generate_field(3000, 6), 1e-2, 2048);
+  FlatBuilder builder;
+  ASSERT_TRUE(builder.add("X", x).is_ok());
+  ASSERT_TRUE(builder.add("PHI", phi).is_ok());
 
-  const auto bytes = bundle.serialize();
-  EXPECT_LE(bytes.size(), bundle.metadata_bytes());
-  const auto restored = TreeBundle::deserialize(bytes);
+  std::vector<std::uint8_t> bytes = builder.finish();
+  EXPECT_EQ(bytes.size(), builder.output_bytes());
+  const auto restored = MappedBundle::from_bytes(std::move(bytes));
   ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_EQ(restored.value().size(), 2U);
-  EXPECT_EQ(restored.value().find("X")->root(), bundle.find("X")->root());
-  EXPECT_EQ(restored.value().find("PHI")->params().chunk_bytes, 2048U);
+  const BundleView& view = restored.value().view();
+  EXPECT_EQ(view.size(), 2U);
+  ASSERT_NE(view.find("X"), nullptr);
+  ASSERT_NE(view.find("PHI"), nullptr);
+  EXPECT_TRUE(view.find("X")->root() == x.root());
+  EXPECT_EQ(view.find("PHI")->params().chunk_bytes, 2048U);
   // Per-entry params survive independently.
-  EXPECT_DOUBLE_EQ(restored.value().find("X")->params().hash.error_bound,
-                   1e-6);
-}
-
-TEST(TreeBundle, SaveLoadFile) {
-  repro::TempDir dir{"bundle-test"};
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("X", tree_of(sim::generate_field(2000, 7), 1e-5))
-                  .is_ok());
-  const auto path = dir.file("fields.rmrb");
-  ASSERT_TRUE(bundle.save(path).is_ok());
-  const auto loaded = TreeBundle::load(path);
-  ASSERT_TRUE(loaded.is_ok());
-  EXPECT_EQ(loaded.value().find("X")->root(), bundle.find("X")->root());
-}
-
-TEST(TreeBundle, EmptyBundleRoundTrips) {
-  const TreeBundle bundle;
-  const auto restored = TreeBundle::deserialize(bundle.serialize());
-  ASSERT_TRUE(restored.is_ok());
-  EXPECT_EQ(restored.value().size(), 0U);
-}
-
-TEST(TreeBundle, RejectsGarbage) {
-  std::vector<std::uint8_t> garbage(200, 0x77);
-  EXPECT_FALSE(TreeBundle::deserialize(garbage).is_ok());
-}
-
-TEST(TreeBundle, RejectsTruncated) {
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("X", tree_of(sim::generate_field(2000, 8), 1e-5))
-                  .is_ok());
-  auto bytes = bundle.serialize();
-  bytes.resize(bytes.size() - 20);
-  EXPECT_FALSE(TreeBundle::deserialize(bytes).is_ok());
-}
-
-TEST(TreeBundle, OversizedEntryLengthRejected) {
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("X", tree_of(sim::generate_field(500, 9), 1e-5))
-                  .is_ok());
-  auto bytes = bundle.serialize();
-  // The entry-size u64 sits right after magic+version+count+name; blow it up.
-  const std::size_t size_offset = 4 + 4 + 4 + 4 + 1;
-  bytes[size_offset] = 0xFF;
-  bytes[size_offset + 7] = 0xFF;
-  EXPECT_FALSE(TreeBundle::deserialize(bytes).is_ok());
+  EXPECT_DOUBLE_EQ(view.find("X")->params().hash.error_bound, 1e-6);
 }
 
 }  // namespace

@@ -64,7 +64,9 @@ TEST_F(CaptureTest, MetadataMatchesOfflineRebuild) {
   ASSERT_TRUE(engine.wait_all().is_ok());
 
   const CheckpointRef ref = catalog_.ref("run-1", 10, 0);
-  const auto loaded = merkle::MerkleTree::load(ref.metadata_path);
+  const auto sidecar = merkle::MappedBundle::open(ref.metadata_path);
+  ASSERT_TRUE(sidecar.is_ok()) << sidecar.status().to_string();
+  const auto loaded = sidecar.value().sole_tree();
   ASSERT_TRUE(loaded.is_ok());
 
   const auto rebuilt =
@@ -73,40 +75,6 @@ TEST_F(CaptureTest, MetadataMatchesOfflineRebuild) {
   ASSERT_TRUE(rebuilt.is_ok());
   EXPECT_EQ(loaded.value().root(), rebuilt.value().root());
   EXPECT_EQ(loaded.value().num_chunks(), rebuilt.value().num_chunks());
-}
-
-TEST_F(CaptureTest, SidecarFormatFlagControlsEncoding) {
-  // Default captures flush flat-v2 sidecars; the flag selects legacy v1.
-  // Both load back through the format-detecting shim with identical trees,
-  // so a mixed-format history stays comparable end-to-end.
-  CaptureOptions v1_options = options();
-  v1_options.sidecar_format = merkle::SidecarWriteFormat::kLegacyV1;
-  {
-    CaptureEngine engine(local_.path(), catalog_, options());
-    ASSERT_TRUE(engine.capture(make_writer("run-v2", 10, 0, 21)).is_ok());
-    ASSERT_TRUE(engine.wait_all().is_ok());
-  }
-  {
-    CaptureEngine engine(local_.path(), catalog_, v1_options);
-    ASSERT_TRUE(engine.capture(make_writer("run-v1", 10, 0, 21)).is_ok());
-    ASSERT_TRUE(engine.wait_all().is_ok());
-  }
-
-  const CheckpointRef v2_ref = catalog_.ref("run-v2", 10, 0);
-  const CheckpointRef v1_ref = catalog_.ref("run-v1", 10, 0);
-  auto v2_bytes = repro::read_file(v2_ref.metadata_path);
-  auto v1_bytes = repro::read_file(v1_ref.metadata_path);
-  ASSERT_TRUE(v2_bytes.is_ok() && v1_bytes.is_ok());
-  EXPECT_EQ(merkle::detect_sidecar_format(v2_bytes.value()),
-            merkle::SidecarFormat::kV2Flat);
-  EXPECT_EQ(merkle::detect_sidecar_format(v1_bytes.value()),
-            merkle::SidecarFormat::kV1Tree);
-
-  auto v2_tree = merkle::MerkleTree::load(v2_ref.metadata_path);
-  auto v1_tree = merkle::MerkleTree::load(v1_ref.metadata_path);
-  ASSERT_TRUE(v2_tree.is_ok()) << v2_tree.status().to_string();
-  ASSERT_TRUE(v1_tree.is_ok()) << v1_tree.status().to_string();
-  EXPECT_EQ(v2_tree.value().root(), v1_tree.value().root());
 }
 
 TEST_F(CaptureTest, StatsAccumulate) {
@@ -159,10 +127,14 @@ TEST_F(CaptureTest, TwoRunsAreComparableViaMetadataAlone) {
   ASSERT_TRUE(engine.capture(make_writer("run-2", 10, 0, 7)).is_ok());
   ASSERT_TRUE(engine.wait_all().is_ok());
 
-  const auto tree_a =
-      merkle::MerkleTree::load(catalog_.ref("run-1", 10, 0).metadata_path);
-  const auto tree_b =
-      merkle::MerkleTree::load(catalog_.ref("run-2", 10, 0).metadata_path);
+  const auto sidecar_a =
+      merkle::MappedBundle::open(catalog_.ref("run-1", 10, 0).metadata_path);
+  const auto sidecar_b =
+      merkle::MappedBundle::open(catalog_.ref("run-2", 10, 0).metadata_path);
+  ASSERT_TRUE(sidecar_a.is_ok());
+  ASSERT_TRUE(sidecar_b.is_ok());
+  const auto tree_a = sidecar_a.value().sole_tree();
+  const auto tree_b = sidecar_b.value().sole_tree();
   ASSERT_TRUE(tree_a.is_ok());
   ASSERT_TRUE(tree_b.is_ok());
   const auto diff = merkle::compare_trees(tree_a.value(), tree_b.value());

@@ -5,7 +5,9 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/fs.hpp"
 
@@ -153,6 +155,23 @@ TEST_F(CliTest, TreeAndInspect) {
   EXPECT_EQ(inspect_tree.exit_code, 0);
   EXPECT_NE(inspect_tree.output.find("root digest"), std::string::npos);
   EXPECT_NE(inspect_tree.output.find("error bound"), std::string::npos);
+}
+
+TEST_F(CliTest, InfoRejectsLegacySidecarAndNamesTheFix) {
+  // The first bytes of a retired v1 sidecar: "RMRK", version 1, zeroes.
+  std::vector<std::uint8_t> legacy(64, 0);
+  std::memcpy(legacy.data(), "RMRK", 4);
+  legacy[4] = 1;
+  const std::string path = pfs() + "/legacy.rmrk";
+  ASSERT_TRUE(repro::write_file(path, legacy).is_ok());
+
+  const CommandResult info = run_cli("info " + path);
+  EXPECT_EQ(info.exit_code, 2) << info.output;
+  EXPECT_NE(info.output.find("legacy v1 sidecar (RMRK) is not supported"),
+            std::string::npos)
+      << info.output;
+  EXPECT_NE(info.output.find("repro-cli tree"), std::string::npos)
+      << info.output;
 }
 
 TEST_F(CliTest, CompareMissingFileFailsCleanly) {

@@ -6,6 +6,7 @@
 
 #include "baseline/direct.hpp"
 #include "common/fs.hpp"
+#include "merkle/flat.hpp"
 #include "sim/workload.hpp"
 
 namespace repro::cmp {
@@ -30,7 +31,7 @@ void write_checkpoint_with_metadata(const std::filesystem::path& path,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(path.string() + ".rmrk").is_ok());
+  ASSERT_TRUE(merkle::save_flat(tree.value(), path.string() + ".rmrk").is_ok());
 }
 
 /// Write one history-catalog checkpoint (fields X and PHI), optionally with
@@ -51,7 +52,8 @@ void write_history_checkpoint(const ckpt::HistoryCatalog& catalog,
     const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                           .build(writer.data_section());
     ASSERT_TRUE(tree.is_ok());
-    ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+    ASSERT_TRUE(
+        merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
   }
 }
 
@@ -287,7 +289,8 @@ TEST_F(ComparatorTest, HistoriesFirstDivergence) {
       const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                             .build(writer.data_section());
       ASSERT_TRUE(tree.is_ok());
-      ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+      ASSERT_TRUE(
+          merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
     }
   }
 

@@ -12,7 +12,7 @@
 #include "compare/comparator.hpp"
 #include "io/fault.hpp"
 #include "io/stream.hpp"
-#include "merkle/tree.hpp"
+#include "merkle/flat.hpp"
 #include "sim/workload.hpp"
 
 namespace repro {
@@ -34,8 +34,17 @@ void write_pair(const TempDir& dir, const std::vector<float>& values) {
     const auto tree = merkle::TreeBuilder(tree_params(), par::Exec::serial())
                           .build(writer.data_section());
     ASSERT_TRUE(tree.is_ok());
-    ASSERT_TRUE(tree.value().save(path.string() + ".rmrk").is_ok());
+    ASSERT_TRUE(
+        merkle::save_flat(tree.value(), path.string() + ".rmrk").is_ok());
   }
+}
+
+/// Read a sidecar blob the way every reader does: adopt it, then take its
+/// single tree.
+Status open_sole_tree(std::vector<std::uint8_t> bytes) {
+  REPRO_ASSIGN_OR_RETURN(const merkle::MappedBundle sidecar,
+                         merkle::MappedBundle::from_bytes(std::move(bytes)));
+  return sidecar.sole_tree().status();
 }
 
 cmp::CompareOptions compare_options() {
@@ -94,8 +103,21 @@ TEST_F(FaultInjectionTest, TruncatedMetadataIsCleanError) {
 TEST_F(FaultInjectionTest, FlippedDigestBitsNeverHideDifferences) {
   // Corrupting digest bytes may cause spurious *flags* (false positives are
   // harmless — stage 2 verifies), but the verified diff count must not
-  // change: the comparison still reports ground truth.
-  corrupt_file(dir_.file("a.ckpt.rmrk"), 200, 16, 0xA5);
+  // change: the comparison still reports ground truth. A raw byte flip is
+  // caught by the sidecar's section checksum, so the wrong digests are
+  // written through save_flat to reach the comparator.
+  const auto path = dir_.file("a.ckpt.rmrk");
+  const auto pristine =
+      merkle::MappedBundle::open(path).value().sole_tree().value()
+          .materialize().value();
+  std::vector<hash::Digest128> nodes(pristine.nodes().begin(),
+                                     pristine.nodes().end());
+  nodes[9] = nodes[10] = {0xA5A5A5A5A5A5A5A5ULL, 0xA5A5A5A5A5A5A5A5ULL};
+  const auto corrupted = merkle::MerkleTree::from_parts(
+      pristine.params(), pristine.data_bytes(), pristine.num_chunks(),
+      std::move(nodes));
+  ASSERT_TRUE(corrupted.is_ok());
+  ASSERT_TRUE(merkle::save_flat(corrupted.value(), path).is_ok());
   const auto report =
       cmp::compare_files(dir_.file("a.ckpt"), dir_.file("b.ckpt"),
                          compare_options());
@@ -121,8 +143,8 @@ TEST_F(FaultInjectionTest, GarbageCheckpointHeaderIsCleanError) {
 }
 
 TEST_F(FaultInjectionTest, RandomMetadataMutationNeverCrashes) {
-  // Deterministic fuzz: mutate random bytes of the serialized tree and
-  // deserialize. Every outcome must be a value or a clean error.
+  // Deterministic fuzz: mutate random bytes of the sidecar and open it.
+  // Every outcome must be a tree or a clean error.
   const auto pristine = read_file(dir_.file("a.ckpt.rmrk")).value();
   Xoshiro256 rng(99);
   int ok_count = 0;
@@ -134,12 +156,12 @@ TEST_F(FaultInjectionTest, RandomMetadataMutationNeverCrashes) {
       mutated[rng.next_below(mutated.size())] =
           static_cast<std::uint8_t>(rng.next());
     }
-    const auto tree = merkle::MerkleTree::deserialize(mutated);
-    if (tree.is_ok()) {
-      ++ok_count;  // mutation hit digest payload: structurally still valid
+    const Status opened = open_sole_tree(std::move(mutated));
+    if (opened.is_ok()) {
+      ++ok_count;  // mutation hit unchecksummed padding: still valid
     } else {
       ++error_count;
-      EXPECT_FALSE(tree.status().message().empty());
+      EXPECT_FALSE(opened.message().empty());
     }
   }
   EXPECT_EQ(ok_count + error_count, 500);
@@ -150,9 +172,8 @@ TEST_F(FaultInjectionTest, RandomTruncationNeverCrashes) {
   Xoshiro256 rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t cut = rng.next_below(pristine.size());
-    const auto tree = merkle::MerkleTree::deserialize(
-        std::span<const std::uint8_t>(pristine.data(), cut));
-    EXPECT_FALSE(tree.is_ok());  // any strict prefix is invalid
+    EXPECT_FALSE(open_sole_tree({pristine.begin(), pristine.begin() + cut})
+                     .is_ok());  // any strict prefix is invalid
   }
 }
 

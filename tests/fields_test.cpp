@@ -49,8 +49,13 @@ TEST_F(FieldsTest, IdenticalCheckpointsAllFieldsAgree) {
   for (const auto& field : report.value().fields) {
     EXPECT_EQ(field.bytes_read_per_file, 0U) << field.field;
   }
-  // Bundles persisted for reuse.
-  EXPECT_TRUE(std::filesystem::exists(dir_.file("a.ckpt.rmrb")));
+  // Bundles persisted for reuse, as RMF2 files with one tree per field.
+  const auto bundle = merkle::MappedBundle::open(dir_.file("a.ckpt.rmrb"));
+  ASSERT_TRUE(bundle.is_ok()) << bundle.status().to_string();
+  EXPECT_EQ(bundle.value().view().size(), 3U);
+  ASSERT_NE(bundle.value().view().find("PHI"), nullptr);
+  EXPECT_EQ(bundle.value().view().find("PHI")->params().hash.error_bound,
+            1e-2);
 }
 
 TEST_F(FieldsTest, PerFieldBoundsAreHonored) {

@@ -10,7 +10,6 @@
 #include "common/fs.hpp"
 #include "common/rng.hpp"
 #include "io/mmap.hpp"
-#include "merkle/bundle.hpp"
 #include "merkle/tree.hpp"
 #include "par/exec.hpp"
 
@@ -57,18 +56,40 @@ void expect_same_tree(const TreeView& view, const MerkleTree& tree) {
   EXPECT_EQ(view.chunk_range(0), tree.chunk_range(0));
 }
 
+/// The first bytes of a retired v1 sidecar: magic, version 1, then enough
+/// zeroed header that only the magic can decide the outcome.
+std::vector<std::uint8_t> legacy_header(const char magic[4]) {
+  std::vector<std::uint8_t> bytes(64, 0);
+  std::memcpy(bytes.data(), magic, 4);
+  bytes[4] = 1;
+  return bytes;
+}
+
 TEST(FlatFormat, DetectsAllMagics) {
-  const MerkleTree tree = make_tree(1024);
-  EXPECT_EQ(detect_sidecar_format(flat_serialize(tree)),
-            SidecarFormat::kV2Flat);
-  EXPECT_EQ(detect_sidecar_format(tree.serialize()), SidecarFormat::kV1Tree);
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("f", make_tree(512)).is_ok());
-  EXPECT_EQ(detect_sidecar_format(bundle.serialize()),
-            SidecarFormat::kV1Bundle);
-  EXPECT_EQ(detect_sidecar_format({}), SidecarFormat::kUnknown);
+  EXPECT_TRUE(
+      MappedBundle::from_bytes(flat_serialize(make_tree(1024))).is_ok());
+
+  // Retired v1 encodings get a named, actionable kUnsupported error.
+  for (const char* magic : {"RMRK", "RMRB"}) {
+    const auto legacy = MappedBundle::from_bytes(legacy_header(magic));
+    ASSERT_FALSE(legacy.is_ok()) << magic;
+    EXPECT_EQ(legacy.status().code(), repro::StatusCode::kUnsupported);
+    const std::string message = legacy.status().to_string();
+    EXPECT_NE(message.find(std::string("legacy v1 sidecar (") + magic + ")"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("rebuild"), std::string::npos) << message;
+  }
+  // The legacy check needs only the magic, so a bare one is still named.
+  const std::vector<std::uint8_t> bare = {'R', 'M', 'R', 'K'};
+  EXPECT_EQ(BundleView::parse(bare).status().code(),
+            repro::StatusCode::kUnsupported);
+
+  EXPECT_EQ(MappedBundle::from_bytes({}).status().code(),
+            repro::StatusCode::kCorruptData);
   const std::vector<std::uint8_t> junk = {1, 2, 3, 4, 5};
-  EXPECT_EQ(detect_sidecar_format(junk), SidecarFormat::kUnknown);
+  EXPECT_EQ(MappedBundle::from_bytes(junk).status().code(),
+            repro::StatusCode::kCorruptData);
 }
 
 TEST(FlatFormat, TreeRoundTripMatchesSource) {
@@ -89,45 +110,48 @@ TEST(FlatFormat, TreeRoundTripMatchesSource) {
                          tree.nodes().end()));
 }
 
-TEST(FlatFormat, RoundTripAgreesWithV1Codec) {
-  // The two encodings carry identical content: decoding the v1 stream and
-  // viewing the v2 blob must agree node-for-node.
-  const MerkleTree tree = make_tree(8192, 3);
-  auto v1 = MerkleTree::deserialize(tree.serialize());
-  ASSERT_TRUE(v1.is_ok());
-  auto v2 = BundleView::parse(flat_serialize(tree));
-  ASSERT_TRUE(v2.is_ok());
-  expect_same_tree(v2.value().tree(0), v1.value());
-}
-
 TEST(FlatFormat, BundleRoundTripPreservesNamesAndOrder) {
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("POSITION", make_tree(2048, 1)).is_ok());
-  ASSERT_TRUE(bundle.add("VELOCITY", make_tree(1024, 2)).is_ok());
-  ASSERT_TRUE(bundle.add("PHI", make_tree(512, 3)).is_ok());
+  // One tree per field, each under its own parameters (the per-field
+  // `.rmrb` layout): names, order and per-entry params all survive.
+  TreeParams loose = small_params(2048);
+  loose.hash.error_bound = 1e-2;
+  const MerkleTree position = make_tree(2048, 1);
+  const MerkleTree velocity = make_tree(1024, 2);
+  const MerkleTree phi = TreeBuilder(loose, par::Exec::serial())
+                             .build(random_f32_bytes(512, 3))
+                             .value();
+  FlatBuilder builder;
+  ASSERT_TRUE(builder.add("POSITION", position).is_ok());
+  ASSERT_TRUE(builder.add("VELOCITY", velocity).is_ok());
+  ASSERT_TRUE(builder.add("PHI", phi).is_ok());
 
-  const std::vector<std::uint8_t> flat = flat_serialize(bundle);
+  const std::vector<std::uint8_t> flat = builder.finish();
   auto view = BundleView::parse(flat);
   ASSERT_TRUE(view.is_ok()) << view.status().to_string();
   ASSERT_EQ(view.value().size(), 3U);
   EXPECT_EQ(view.value().name(0), "POSITION");
   EXPECT_EQ(view.value().name(1), "VELOCITY");
   EXPECT_EQ(view.value().name(2), "PHI");
-  for (std::size_t i = 0; i < 3; ++i) {
-    expect_same_tree(view.value().tree(i), *bundle.find(view.value().name(i)));
-  }
-  EXPECT_NE(view.value().find("VELOCITY"), nullptr);
-  EXPECT_TRUE(view.value().find("VELOCITY")->root() ==
-              bundle.find("VELOCITY")->root());
+  expect_same_tree(view.value().tree(0), position);
+  expect_same_tree(view.value().tree(1), velocity);
+  expect_same_tree(view.value().tree(2), phi);
+  ASSERT_NE(view.value().find("PHI"), nullptr);
+  EXPECT_EQ(view.value().find("PHI")->params(), loose);
+  EXPECT_TRUE(view.value().find("VELOCITY")->root() == velocity.root());
   EXPECT_EQ(view.value().find("MISSING"), nullptr);
 }
 
 TEST(FlatFormat, BuilderReportsExactOutputSize) {
+  // The builder borrows its trees, so they must outlive finish().
+  const MerkleTree a = make_tree(1024, 1);
+  const MerkleTree bb = make_tree(512, 2);
   FlatBuilder builder;
-  ASSERT_TRUE(builder.add("a", make_tree(1024, 1)).is_ok());
-  ASSERT_TRUE(builder.add("bb", make_tree(512, 2)).is_ok());
+  ASSERT_TRUE(builder.add("a", a).is_ok());
+  ASSERT_TRUE(builder.add("bb", bb).is_ok());
   EXPECT_EQ(builder.finish().size(), builder.output_bytes());
-  EXPECT_FALSE(builder.add("a", make_tree(256, 3)).is_ok())
+  const MerkleTree duplicate = make_tree(256, 3);
+  EXPECT_EQ(builder.add("a", duplicate).code(),
+            repro::StatusCode::kAlreadyExists)
       << "duplicate names must be rejected";
 }
 
@@ -147,24 +171,17 @@ TEST(FlatFormat, RejectsBadMagicAndUnknownVersion) {
   bad_magic[0] = 'X';
   EXPECT_FALSE(BundleView::parse(bad_magic).is_ok());
 
-  // Future version: the error must point the operator at the migrate tool.
+  // Future version: the error names the version found and the one read.
   std::vector<std::uint8_t> future = flat;
   const std::uint32_t v99 = 99;
   std::memcpy(future.data() + 4, &v99, sizeof v99);
   const auto parsed = BundleView::parse(future);
   ASSERT_FALSE(parsed.is_ok());
-  EXPECT_NE(parsed.status().to_string().find("migrate"), std::string::npos)
+  EXPECT_EQ(parsed.status().code(), repro::StatusCode::kUnsupported);
+  EXPECT_NE(parsed.status().to_string().find("version 99"), std::string::npos)
       << parsed.status().to_string();
-}
-
-TEST(FlatFormat, V1UnknownVersionErrorNamesMigrate) {
-  const MerkleTree tree = make_tree(1024);
-  std::vector<std::uint8_t> v1 = tree.serialize();
-  const std::uint32_t v99 = 99;
-  std::memcpy(v1.data() + 4, &v99, sizeof v99);
-  const auto parsed = MerkleTree::deserialize(v1);
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_NE(parsed.status().to_string().find("migrate"), std::string::npos);
+  EXPECT_EQ(parsed.status().to_string().find("migrate"), std::string::npos)
+      << "the migrate tool no longer exists";
 }
 
 TEST(FlatFormat, RejectsCorruptSectionViaChecksum) {
@@ -213,65 +230,6 @@ TEST(FlatFormat, FuzzedHeaderFieldsFailCleanly) {
   }
 }
 
-// --- v1 compat shim ---------------------------------------------------------
-
-TEST(FlatFormat, LoadShimReadsBothFormatsFromDisk) {
-  TempDir dir{"flat-compat"};
-  const MerkleTree tree = make_tree(4096, 11);
-
-  const auto v1_path = dir.file("tree.v1.rmrk");
-  const auto v2_path = dir.file("tree.v2.rmrk");
-  ASSERT_TRUE(tree.save(v1_path).is_ok());  // MerkleTree::save writes v1
-  ASSERT_TRUE(save_flat(tree, v2_path).is_ok());
-
-  for (const auto& path : {v1_path, v2_path}) {
-    auto loaded = MerkleTree::load(path);
-    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-    EXPECT_TRUE(loaded.value().root() == tree.root());
-    EXPECT_TRUE(std::equal(loaded.value().nodes().begin(),
-                           loaded.value().nodes().end(),
-                           tree.nodes().begin(), tree.nodes().end()));
-  }
-}
-
-TEST(FlatFormat, BundleLoadShimReadsBothFormats) {
-  TempDir dir{"flat-bundle-compat"};
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("A", make_tree(1024, 1)).is_ok());
-  ASSERT_TRUE(bundle.add("B", make_tree(2048, 2)).is_ok());
-
-  const auto v1_path = dir.file("fields.v1.rmrk");
-  const auto v2_path = dir.file("fields.v2.rmrk");
-  ASSERT_TRUE(bundle.save(v1_path).is_ok());
-  ASSERT_TRUE(save_flat(bundle, v2_path).is_ok());
-
-  for (const auto& path : {v1_path, v2_path}) {
-    auto loaded = TreeBundle::load(path);
-    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-    ASSERT_EQ(loaded.value().size(), 2U);
-    EXPECT_TRUE(loaded.value().find("A")->root() ==
-                bundle.find("A")->root());
-    EXPECT_TRUE(loaded.value().find("B")->root() ==
-                bundle.find("B")->root());
-  }
-}
-
-TEST(FlatFormat, SaveSidecarWritesRequestedFormat) {
-  TempDir dir{"flat-save-sidecar"};
-  const MerkleTree tree = make_tree(512);
-  const auto v2_path = dir.file("v2.rmrk");
-  const auto v1_path = dir.file("v1.rmrk");
-  ASSERT_TRUE(
-      save_sidecar(tree, v2_path, SidecarWriteFormat::kFlatV2).is_ok());
-  ASSERT_TRUE(
-      save_sidecar(tree, v1_path, SidecarWriteFormat::kLegacyV1).is_ok());
-  auto v2_bytes = repro::read_file(v2_path);
-  auto v1_bytes = repro::read_file(v1_path);
-  ASSERT_TRUE(v2_bytes.is_ok() && v1_bytes.is_ok());
-  EXPECT_EQ(detect_sidecar_format(v2_bytes.value()), SidecarFormat::kV2Flat);
-  EXPECT_EQ(detect_sidecar_format(v1_bytes.value()), SidecarFormat::kV1Tree);
-}
-
 // --- MappedBundle -----------------------------------------------------------
 
 TEST(MappedBundleTest, OpensV2FilesMapped) {
@@ -283,32 +241,10 @@ TEST(MappedBundleTest, OpensV2FilesMapped) {
   auto bundle = MappedBundle::open(path);
   ASSERT_TRUE(bundle.is_ok()) << bundle.status().to_string();
   EXPECT_TRUE(bundle.value().mapped());
-  EXPECT_FALSE(bundle.value().converted_from_v1());
   EXPECT_GT(bundle.value().resident_bytes(), 0U);
   auto view = bundle.value().sole_tree();
   ASSERT_TRUE(view.is_ok());
   expect_same_tree(view.value(), tree);
-}
-
-TEST(MappedBundleTest, ConvertsV1FilesTransparently) {
-  TempDir dir{"flat-mapped-v1"};
-  const MerkleTree tree = make_tree(2048, 17);
-  const auto path = dir.file("tree.rmrk");
-  ASSERT_TRUE(tree.save(path).is_ok());
-
-  auto bundle = MappedBundle::open(path);
-  ASSERT_TRUE(bundle.is_ok()) << bundle.status().to_string();
-  EXPECT_TRUE(bundle.value().converted_from_v1());
-  EXPECT_FALSE(bundle.value().mapped()) << "converted blobs are heap-backed";
-  auto view = bundle.value().sole_tree();
-  ASSERT_TRUE(view.is_ok());
-  expect_same_tree(view.value(), tree);
-  // The re-encoded bytes are exactly what flat_serialize would produce.
-  const std::vector<std::uint8_t> expected = flat_serialize(tree);
-  ASSERT_EQ(bundle.value().bytes().size(), expected.size());
-  EXPECT_EQ(std::memcmp(bundle.value().bytes().data(), expected.data(),
-                        expected.size()),
-            0);
 }
 
 TEST(MappedBundleTest, MmapFailureFallsBackToHeapRead) {
@@ -321,8 +257,6 @@ TEST(MappedBundleTest, MmapFailureFallsBackToHeapRead) {
   auto bundle = MappedBundle::open(path);
   ASSERT_TRUE(bundle.is_ok()) << bundle.status().to_string();
   EXPECT_FALSE(bundle.value().mapped());
-  EXPECT_FALSE(bundle.value().converted_from_v1())
-      << "a heap-read v2 blob is still zero-parse";
   auto view = bundle.value().sole_tree();
   ASSERT_TRUE(view.is_ok());
   expect_same_tree(view.value(), tree);
@@ -339,10 +273,12 @@ TEST(MappedBundleTest, MissingFileIsNotFound) {
 }
 
 TEST(MappedBundleTest, SoleTreeRejectsMultiTreeBundles) {
-  TreeBundle bundle;
-  ASSERT_TRUE(bundle.add("A", make_tree(512, 1)).is_ok());
-  ASSERT_TRUE(bundle.add("B", make_tree(512, 2)).is_ok());
-  auto mapped = MappedBundle::from_bytes(flat_serialize(bundle));
+  const MerkleTree a = make_tree(512, 1);
+  const MerkleTree b = make_tree(512, 2);
+  FlatBuilder builder;
+  ASSERT_TRUE(builder.add("A", a).is_ok());
+  ASSERT_TRUE(builder.add("B", b).is_ok());
+  auto mapped = MappedBundle::from_bytes(builder.finish());
   ASSERT_TRUE(mapped.is_ok());
   EXPECT_FALSE(mapped.value().sole_tree().is_ok());
   EXPECT_EQ(mapped.value().view().size(), 2U);

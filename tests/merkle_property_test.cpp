@@ -3,7 +3,7 @@
 //   [P1] the pruned BFS returns exactly the brute-force leaf diff set,
 //   [P2] conservativeness: every chunk containing a ground-truth
 //        out-of-bound difference is flagged (no false negatives),
-//   [P3] serialization round-trips the tree bit-exactly,
+//   [P3] the RMF2 sidecar round-trips the tree bit-exactly,
 //   [P4] build + incremental update == rebuild.
 // 60 random scenarios per value kind, deterministic seeds.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "merkle/compare.hpp"
+#include "merkle/flat.hpp"
 #include "merkle/tree.hpp"
 
 namespace repro::merkle {
@@ -97,11 +98,20 @@ TEST_P(MerkleProperty, PipelineInvariantsHoldOnRandomScenarios) {
           << scenario;
     }
 
-    // [P3] serialization round-trip.
-    const auto restored =
-        MerkleTree::deserialize(tree_a.value().serialize());
+    // [P3] RMF2 round-trip: the parsed view matches node for node.
+    const std::vector<std::uint8_t> sidecar = flat_serialize(tree_a.value());
+    const auto restored = BundleView::parse(sidecar);
     ASSERT_TRUE(restored.is_ok());
-    EXPECT_EQ(restored.value().root(), tree_a.value().root());
+    ASSERT_EQ(restored.value().size(), 1U);
+    const TreeView& view = restored.value().tree(0);
+    EXPECT_EQ(view.params(), tree_a.value().params());
+    EXPECT_EQ(view.data_bytes(), tree_a.value().data_bytes());
+    EXPECT_EQ(view.root(), tree_a.value().root());
+    ASSERT_EQ(view.layout().num_nodes(), tree_a.value().nodes().size());
+    for (std::uint64_t i = 0; i < view.layout().num_nodes(); ++i) {
+      ASSERT_EQ(view.node(i), tree_a.value().node(i))
+          << "node " << i << ", scenario " << scenario;
+    }
 
     // [P4] updating A's tree with B's data over the flagged set gives
     // exactly B's tree.

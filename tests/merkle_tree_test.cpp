@@ -8,6 +8,7 @@
 #include "common/fs.hpp"
 #include "common/rng.hpp"
 #include "hash/murmur3.hpp"
+#include "merkle/flat.hpp"
 
 namespace repro::merkle {
 namespace {
@@ -210,12 +211,12 @@ TEST(MerkleSerialization, RoundTrip) {
   const auto data = random_f32_bytes(3000, 10);
   const MerkleTree tree =
       TreeBuilder(small_params(512), par::Exec::serial()).build(data).value();
-  const auto bytes = tree.serialize();
-  // metadata_bytes() is the sizing estimate (fixed header allowance +
-  // digests); the actual encoding must fit it and be dominated by digests.
-  EXPECT_LE(bytes.size(), tree.metadata_bytes());
-  EXPECT_GE(bytes.size(), tree.nodes().size() * hash::kDigestBytes);
-  const auto loaded = MerkleTree::deserialize(bytes);
+  const auto bytes = flat_serialize(tree);
+  // metadata_bytes() is what `repro-cli tree` reports as written.
+  EXPECT_EQ(bytes.size(), tree.metadata_bytes());
+  const auto sidecar = MappedBundle::from_bytes(bytes);
+  ASSERT_TRUE(sidecar.is_ok()) << sidecar.status().to_string();
+  const auto loaded = sidecar.value().sole_tree().value().materialize();
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_EQ(loaded.value().params(), tree.params());
   EXPECT_EQ(loaded.value().data_bytes(), tree.data_bytes());
@@ -232,15 +233,17 @@ TEST(MerkleSerialization, SaveLoadFile) {
   const MerkleTree tree =
       TreeBuilder(small_params(), par::Exec::serial()).build(data).value();
   const auto path = dir.file("tree.rmrk");
-  ASSERT_TRUE(tree.save(path).is_ok());
-  const auto loaded = MerkleTree::load(path);
+  ASSERT_TRUE(save_flat(tree, path).is_ok());
+  const auto sidecar = MappedBundle::open(path);
+  ASSERT_TRUE(sidecar.is_ok()) << sidecar.status().to_string();
+  const auto loaded = sidecar.value().sole_tree();
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_EQ(loaded.value().root(), tree.root());
 }
 
 TEST(MerkleSerialization, RejectsBadMagic) {
   std::vector<std::uint8_t> bytes(64, 0);
-  EXPECT_EQ(MerkleTree::deserialize(bytes).status().code(),
+  EXPECT_EQ(MappedBundle::from_bytes(bytes).status().code(),
             repro::StatusCode::kCorruptData);
 }
 
@@ -248,18 +251,18 @@ TEST(MerkleSerialization, RejectsTruncated) {
   const auto data = random_f32_bytes(2000, 12);
   const MerkleTree tree =
       TreeBuilder(small_params(), par::Exec::serial()).build(data).value();
-  auto bytes = tree.serialize();
+  auto bytes = flat_serialize(tree);
   bytes.resize(bytes.size() / 2);
-  EXPECT_FALSE(MerkleTree::deserialize(bytes).is_ok());
+  EXPECT_FALSE(MappedBundle::from_bytes(bytes).is_ok());
 }
 
 TEST(MerkleSerialization, RejectsUnknownVersion) {
   const auto data = random_f32_bytes(100, 13);
   const MerkleTree tree =
       TreeBuilder(small_params(), par::Exec::serial()).build(data).value();
-  auto bytes = tree.serialize();
+  auto bytes = flat_serialize(tree);
   bytes[4] = 0xFF;  // version field
-  EXPECT_EQ(MerkleTree::deserialize(bytes).status().code(),
+  EXPECT_EQ(MappedBundle::from_bytes(bytes).status().code(),
             repro::StatusCode::kUnsupported);
 }
 

@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/capture.hpp"
 #include "common/fs.hpp"
-#include "merkle/tree.hpp"
+#include "merkle/flat.hpp"
 #include "sim/workload.hpp"
 
 namespace repro::cmp {
@@ -32,7 +33,8 @@ void store_reference(const ckpt::HistoryCatalog& catalog,
   const auto tree = merkle::TreeBuilder(tree_params(), par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+  ASSERT_TRUE(
+      merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
 }
 
 ckpt::CheckpointWriter live_writer(std::uint64_t iteration,
@@ -174,6 +176,45 @@ TEST_F(OnlineTest, AgreesWithOfflineComparator) {
       offline_options);
   ASSERT_TRUE(offline.is_ok()) << offline.status().to_string();
 
+  EXPECT_EQ(online.value().values_exceeding,
+            offline.value().values_exceeding);
+  EXPECT_EQ(online.value().chunks_flagged, offline.value().chunks_flagged);
+}
+
+TEST_F(OnlineTest, AgreesWithComparePairOnCapturedReference) {
+  // Both runs go through the capture engine with its default sidecar
+  // encoding, so the online path reads exactly what the system writes.
+  const auto values = sim::generate_field(40000, 8);
+  auto live = values;
+  sim::apply_divergence(live, {.region_fraction = 0.1, .region_values = 300,
+                               .magnitude = 1e-3});
+  repro::TempDir local{"online-capture-local"};
+  ckpt::CaptureOptions capture_options;
+  capture_options.tree = tree_params();
+  {
+    ckpt::CaptureEngine engine(local.path(), catalog_, capture_options);
+    ckpt::CheckpointWriter reference("test", "reference", 10, 0);
+    ASSERT_TRUE(reference.add_field_f32("X", values).is_ok());
+    ASSERT_TRUE(engine.capture(reference).is_ok());
+    ASSERT_TRUE(engine.capture(live_writer(10, live)).is_ok());
+    ASSERT_TRUE(engine.wait_all().is_ok());
+  }
+
+  OnlineComparator monitor(catalog_, "reference", online_options());
+  const auto online = monitor.check(live_writer(10, live));
+  ASSERT_TRUE(online.is_ok()) << online.status().to_string();
+
+  CompareOptions offline_options;
+  offline_options.error_bound = kEps;
+  offline_options.tree = tree_params();
+  offline_options.backend = io::BackendKind::kPread;
+  offline_options.build_metadata_if_missing = false;
+  const ckpt::CheckpointPair pair{catalog_.ref("reference", 10, 0),
+                                  catalog_.ref("live", 10, 0)};
+  const auto offline = compare_pair(pair, offline_options);
+  ASSERT_TRUE(offline.is_ok()) << offline.status().to_string();
+
+  EXPECT_GT(offline.value().values_exceeding, 0U);
   EXPECT_EQ(online.value().values_exceeding,
             offline.value().values_exceeding);
   EXPECT_EQ(online.value().chunks_flagged, offline.value().chunks_flagged);

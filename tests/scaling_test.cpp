@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fs.hpp"
-#include "merkle/tree.hpp"
+#include "merkle/flat.hpp"
 #include "sim/workload.hpp"
 
 namespace repro::cluster {
@@ -42,7 +42,8 @@ class ScalingTest : public ::testing::Test {
         const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                               .build(writer.data_section());
         ASSERT_TRUE(tree.is_ok());
-        ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+        ASSERT_TRUE(
+            merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
       }
       // Ground truth per pair.
       if (rank % 2 == 0) {

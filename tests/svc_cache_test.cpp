@@ -33,8 +33,8 @@ repro::Result<merkle::MerkleTree> make_tree(std::size_t bytes,
   return merkle::TreeBuilder(small_params(), par::Exec::serial()).build(data);
 }
 
-/// A heap-backed flat-v2 bundle over `bytes` of deterministic data — what
-/// MappedBundle::open would produce for a v2 sidecar, minus the file.
+/// A heap-backed bundle over `bytes` of deterministic data — what
+/// MappedBundle::open would produce for a sidecar, minus the file.
 repro::Result<merkle::MappedBundle> make_bundle(std::size_t bytes,
                                                 std::uint8_t seed = 0) {
   auto tree = make_tree(bytes, seed);
@@ -93,43 +93,26 @@ TEST(MetadataCacheTest, HitMissAndInsertionCounters) {
 }
 
 TEST(MetadataCacheTest, V2LoadsAndWarmHitsNeverDeserialize) {
-  auto& registry = telemetry::MetricsRegistry::global();
-  const std::uint64_t deser0 =
-      registry.counter("svc.cache.deserialize_count").value();
-
+  // Warm hits hand back the bundle the first load mapped: the loader (the
+  // only step that touches a sidecar) runs once.
   MetadataCache cache(1 << 20, 1);
+  int loads = 0;
+  BundlePtr first;
   for (int i = 0; i < 3; ++i) {
     bool hit = false;
-    auto bundle =
-        cache.get_or_load("v2", [] { return make_bundle(2048); }, &hit);
+    auto bundle = cache.get_or_load(
+        "v2",
+        [&] {
+          ++loads;
+          return make_bundle(2048);
+        },
+        &hit);
     ASSERT_TRUE(bundle.is_ok());
     EXPECT_EQ(hit, i > 0);
-    EXPECT_FALSE(bundle.value()->converted_from_v1());
+    if (i == 0) first = bundle.value();
+    EXPECT_EQ(bundle.value().get(), first.get());
   }
-  // Flat v2 loads parse nothing, warm hits parse nothing: the counter the
-  // perf_smoke gate watches stays flat.
-  EXPECT_EQ(registry.counter("svc.cache.deserialize_count").value(), deser0);
-  EXPECT_EQ(cache.stats().deserializes, 0U);
-
-  // A legacy v1 blob is the one load that must run a deserializer.
-  auto v1 = cache.get_or_load("v1", [] {
-    auto tree = make_tree(2048);
-    EXPECT_TRUE(tree.is_ok());
-    return merkle::MappedBundle::from_bytes(tree.value().serialize());
-  });
-  ASSERT_TRUE(v1.is_ok());
-  EXPECT_TRUE(v1.value()->converted_from_v1());
-  EXPECT_EQ(registry.counter("svc.cache.deserialize_count").value(),
-            deser0 + 1);
-  EXPECT_EQ(cache.stats().deserializes, 1U);
-
-  // …and only that load: its warm hit serves the converted blob as-is.
-  bool hit = false;
-  ASSERT_TRUE(cache.get_or_load("v1", [] { return make_bundle(2048); }, &hit)
-                  .is_ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(registry.counter("svc.cache.deserialize_count").value(),
-            deser0 + 1);
+  EXPECT_EQ(loads, 1);
 }
 
 TEST(MetadataCacheTest, EvictionFollowsLruOrder) {

@@ -10,12 +10,14 @@
 #include <array>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fs.hpp"
+#include "merkle/flat.hpp"
 #include "compare/comparator.hpp"
 #include "sim/workload.hpp"
 #include "svc/client.hpp"
@@ -45,7 +47,7 @@ void write_checkpoint(const std::filesystem::path& path,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(path.string() + ".rmrk").is_ok());
+  ASSERT_TRUE(merkle::save_flat(tree.value(), path.string() + ".rmrk").is_ok());
 }
 
 void write_history_checkpoint(const ckpt::HistoryCatalog& catalog,
@@ -62,7 +64,8 @@ void write_history_checkpoint(const ckpt::HistoryCatalog& catalog,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+  ASSERT_TRUE(
+      merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
 }
 
 JsonValue parse_payload(const std::string& payload) {
@@ -407,6 +410,37 @@ TEST_F(LoopbackTest, GarbageFramesAreRejectedWithoutKillingTheDaemon) {
   auto healthy = connect_client();
   ASSERT_TRUE(healthy.is_ok());
   auto ping = healthy.value().call(Opcode::kPing, "");
+  ASSERT_TRUE(ping.is_ok());
+  EXPECT_TRUE(ping.value().ok());
+
+  stop_server();
+}
+
+TEST_F(LoopbackTest, LegacySidecarGetsAnErrorReplyAndTheDaemonStaysUp) {
+  const auto params = tree_params(1e-5);
+  const auto x = sim::generate_field(2000, 4);
+  const auto phi = sim::generate_field(2000, 5);
+  write_checkpoint(dir_.file("a.ckpt"), x, phi, params);
+  write_checkpoint(dir_.file("b.ckpt"), x, phi, params);
+  // Replace a's sidecar with the first bytes of a retired v1 tree.
+  std::vector<std::uint8_t> legacy(64, 0);
+  std::memcpy(legacy.data(), "RMRK", 4);
+  legacy[4] = 1;
+  ASSERT_TRUE(repro::write_file(dir_.file("a.ckpt.rmrk"), legacy).is_ok());
+
+  start_server(base_options());
+  auto client = connect_client();
+  ASSERT_TRUE(client.is_ok());
+  auto reply = client.value().call(
+      Opcode::kCompare,
+      compare_request(dir_.file("a.ckpt"), dir_.file("b.ckpt")));
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_FALSE(reply.value().ok());
+  EXPECT_NE(reply.value().payload.find("legacy v1 sidecar (RMRK)"),
+            std::string::npos)
+      << reply.value().payload;
+
+  auto ping = client.value().call(Opcode::kPing, "");
   ASSERT_TRUE(ping.is_ok());
   EXPECT_TRUE(ping.value().ok());
 

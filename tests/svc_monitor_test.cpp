@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/fs.hpp"
+#include "merkle/flat.hpp"
 #include "merkle/nodestore.hpp"
 #include "sim/workload.hpp"
 #include "svc/client.hpp"
@@ -50,7 +51,8 @@ void write_history_checkpoint(const ckpt::HistoryCatalog& catalog,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+  ASSERT_TRUE(
+      merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
 }
 
 /// The watched side never touches disk: build the iteration's tree straight

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/fs.hpp"
+#include "merkle/flat.hpp"
 #include "sim/workload.hpp"
 #include "svc/client.hpp"
 #include "svc/hash_ring.hpp"
@@ -51,7 +52,7 @@ void write_checkpoint(const std::filesystem::path& path,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(path.string() + ".rmrk").is_ok());
+  ASSERT_TRUE(merkle::save_flat(tree.value(), path.string() + ".rmrk").is_ok());
 }
 
 void write_history_checkpoint(const ckpt::HistoryCatalog& catalog,
@@ -68,7 +69,8 @@ void write_history_checkpoint(const ckpt::HistoryCatalog& catalog,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+  ASSERT_TRUE(
+      merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
 }
 
 JsonValue parse_payload(const std::string& payload) {

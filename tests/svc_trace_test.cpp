@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/fs.hpp"
+#include "merkle/flat.hpp"
 #include "compare/comparator.hpp"
 #include "sim/workload.hpp"
 #include "svc/client.hpp"
@@ -50,7 +51,7 @@ void write_checkpoint(const std::filesystem::path& path,
   const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                         .build(writer.data_section());
   ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(tree.value().save(path.string() + ".rmrk").is_ok());
+  ASSERT_TRUE(merkle::save_flat(tree.value(), path.string() + ".rmrk").is_ok());
 }
 
 std::string compare_request(const std::filesystem::path& a,

@@ -7,7 +7,7 @@
 
 #include "cluster/distributed.hpp"
 #include "common/fs.hpp"
-#include "merkle/tree.hpp"
+#include "merkle/flat.hpp"
 #include "sim/workload.hpp"
 
 namespace repro::cluster {
@@ -162,7 +162,9 @@ class DistributedTest : public ::testing::Test {
           const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
                                 .build(writer.data_section());
           ASSERT_TRUE(tree.is_ok());
-          ASSERT_TRUE(tree.value().save(ref.value().metadata_path).is_ok());
+          ASSERT_TRUE(merkle::save_flat(tree.value(),
+                                        ref.value().metadata_path)
+                          .is_ok());
         }
       }
     }
