@@ -114,7 +114,7 @@ int main() {
     for (const FieldSpec& field : fields) {
       options.field_bounds[field.name] = field.bound;
     }
-    options.chunk_bytes = 16 * kKiB;
+    options.compare.tree.chunk_bytes = 16 * kKiB;
     (void)repro::evict_page_cache(path_a);
     (void)repro::evict_page_cache(path_b);
     const auto report = cmp::compare_fields(path_a, path_b, options);

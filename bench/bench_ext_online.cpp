@@ -77,7 +77,7 @@ int main() {
     // Online: run B resident in memory.
     ckpt::CheckpointWriter live_writer("bench", "live", 1, 0);
     if (!live_writer.add_field_f32("DATA", pair.values_b).is_ok()) return 1;
-    cmp::OnlineOptions online_options;
+    cmp::CompareOptions online_options;
     online_options.error_bound = eps;
     online_options.tree = params;
     cmp::OnlineComparator monitor(catalog, "reference", online_options);

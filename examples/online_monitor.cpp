@@ -96,7 +96,7 @@ int main() {
 
   // --- Phase 2: a second run monitors itself online against the reference.
   std::printf("second run (nondeterministic): monitoring online...\n");
-  cmp::OnlineOptions online_options;
+  cmp::CompareOptions online_options;
   online_options.error_bound = kErrorBound;
   online_options.tree = tree_params();
   cmp::OnlineComparator monitor(catalog, "reference", online_options);

@@ -46,6 +46,7 @@
 #include "svc/monitor.hpp"
 #include "svc/router.hpp"
 #include "svc/server.hpp"
+#include "svc/socket.hpp"
 #include "telemetry/json_parse.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
@@ -766,10 +767,10 @@ int cmd_fields(const Args& args) {
   cmp::FieldCompareOptions options;
   auto default_eps = args.get_f64("default-eps", 1e-6);
   if (!default_eps.is_ok()) return fail(default_eps.status());
-  options.default_bound = default_eps.value();
+  options.compare.error_bound = default_eps.value();
   auto chunk = args.get_size("chunk", 16 * repro::kKiB);
   if (!chunk.is_ok()) return fail(chunk.status());
-  options.chunk_bytes = chunk.value();
+  options.compare.tree.chunk_bytes = chunk.value();
   if (args.has("bounds")) {
     auto bounds = parse_bounds(args.get("bounds", ""));
     if (!bounds.is_ok()) return fail(bounds.status());
@@ -777,7 +778,7 @@ int cmd_fields(const Args& args) {
   }
   auto backend = io::parse_backend(args.get("backend", "uring"));
   if (!backend.is_ok()) return fail(backend.status());
-  options.backend = backend.value();
+  options.compare.backend = backend.value();
 
   const auto report = cmp::compare_fields(args.positional()[1],
                                           args.positional()[2], options);
@@ -1142,13 +1143,9 @@ int cmd_serve(const Args& args) {
         if (peer < 0) continue;
         const std::string page = telemetry::render_prometheus(
             telemetry::MetricsRegistry::global().snapshot());
-        std::size_t sent = 0;
-        while (sent < page.size()) {
-          const ssize_t n = ::send(peer, page.data() + sent,
-                                   page.size() - sent, MSG_NOSIGNAL);
-          if (n <= 0) break;
-          sent += static_cast<std::size_t>(n);
-        }
+        (void)svc::send_all(
+            peer, std::span(reinterpret_cast<const std::uint8_t*>(page.data()),
+                            page.size()));
         ::shutdown(peer, SHUT_WR);
         ::close(peer);
       }

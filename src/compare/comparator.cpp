@@ -5,6 +5,9 @@
 
 #include "common/fs.hpp"
 #include "common/log.hpp"
+#include "compare/engine.hpp"
+#include "io/stream.hpp"
+#include "merkle/flat.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -46,48 +49,20 @@ merkle::ValueKind dominant_kind(const ckpt::CheckpointInfo& info) {
   return kind;
 }
 
-/// Open (preferably map) the sidecar metadata, or build and persist it when
-/// permitted. Returns the view + its owning pin.
-repro::Result<PinnedTree> load_or_build_tree(
-    const ckpt::CheckpointReader& reader,
-    const std::filesystem::path& metadata_path, const CompareOptions& options,
-    TimerSet& timers, std::uint64_t* metadata_bytes_read) {
-  if (std::filesystem::exists(metadata_path)) {
-    // Sidecars map straight into place — the deserialize phase only
-    // resolves the tree view (the Figure-6 breakdown shows it as ~0).
-    merkle::MappedBundle opened;
-    {
-      PhaseTimer timer(timers, kPhaseRead);
-      REPRO_ASSIGN_OR_RETURN(opened, merkle::MappedBundle::open(metadata_path));
-    }
-    *metadata_bytes_read += opened.resident_bytes();
-    auto pin = std::make_shared<const merkle::MappedBundle>(std::move(opened));
-    PhaseTimer timer(timers, kPhaseDeserialize);
-    REPRO_ASSIGN_OR_RETURN(const merkle::TreeView view, pin->sole_tree());
-    return PinnedTree{view, pin};
-  }
-
-  if (!options.build_metadata_if_missing) {
-    return repro::not_found("no merkle metadata at " + metadata_path.string());
-  }
-
-  // Offline mode: derive the tree now. Charged to the read phase since it
-  // replaces the metadata read with a bulk read + hash.
-  PhaseTimer timer(timers, kPhaseRead);
+/// The tree of a checkpoint captured without metadata: options.tree at
+/// options.error_bound, over the checkpoint's dominant value kind.
+repro::Result<merkle::MerkleTree> build_tree(
+    const ckpt::CheckpointInfo& info, std::span<const std::uint8_t> data,
+    const CompareOptions& options) {
   merkle::TreeParams params = options.tree;
   params.hash.error_bound = options.error_bound;
-  params.value_kind = dominant_kind(reader.info());
-  REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
-                         reader.read_data());
-  merkle::TreeBuilder builder(params, options.exec);
-  REPRO_ASSIGN_OR_RETURN(merkle::MerkleTree built, builder.build(data));
-  auto pin = std::make_shared<const merkle::MerkleTree>(std::move(built));
-  const repro::Status saved = merkle::save_flat(*pin, metadata_path);
-  if (!saved.is_ok()) {
-    REPRO_LOG_WARN << "could not persist metadata sidecar: "
-                   << saved.to_string();
-  }
-  return PinnedTree{merkle::TreeView(*pin), pin};
+  params.value_kind = dominant_kind(info);
+  return merkle::TreeBuilder(params, options.exec).build(data);
+}
+
+PinnedTree pin_tree(merkle::MerkleTree tree) {
+  auto owned = std::make_shared<const merkle::MerkleTree>(std::move(tree));
+  return PinnedTree{merkle::TreeView(*owned), owned};
 }
 
 /// Running per-field severity totals while stage 2 streams; folded into
@@ -102,96 +77,103 @@ struct FieldAccum {
 
 }  // namespace
 
-repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
-                                          const CompareOptions& options) {
-  return compare_pair(pair, options, PreloadedMetadata{});
+repro::Result<Side> open_file_side(const std::filesystem::path& checkpoint,
+                                   const CompareOptions& options,
+                                   CompareReport& report) {
+  PhaseTimer timer(report.timers, kPhaseSetup);
+  REPRO_ASSIGN_OR_RETURN(const ckpt::CheckpointReader reader,
+                         ckpt::CheckpointReader::open(checkpoint));
+  Side side;
+  side.info = reader.info();
+  side.data_offset = reader.data_offset();
+  REPRO_ASSIGN_OR_RETURN(
+      side.backend,
+      io::open_backend_with_fallback(checkpoint, options.backend,
+                                     options.backend_options,
+                                     options.backend_fallback,
+                                     &report.io_fallbacks));
+  return side;
 }
 
-repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
-                                          const CompareOptions& options,
-                                          const PreloadedMetadata& preloaded) {
-  Stopwatch total;
-  CompareReport report;
-  telemetry::TraceSpan pair_span("compare.pair");
-  pair_span.arg("file_a", pair.run_a.checkpoint_path.filename().string())
-      .arg("file_b", pair.run_b.checkpoint_path.filename().string());
-
-  if (options.evict_cache) {
-    for (const auto& path :
-         {pair.run_a.checkpoint_path, pair.run_b.checkpoint_path,
-          pair.run_a.metadata_path, pair.run_b.metadata_path}) {
-      if (std::filesystem::exists(path)) {
-        const repro::Status status = repro::evict_page_cache(path);
-        if (!status.is_ok()) {
-          REPRO_LOG_WARN << "cache eviction failed: " << status.to_string();
-        }
-      }
-    }
+repro::Status load_tree(Side& side, const std::filesystem::path& metadata_path,
+                        const CompareOptions& options,
+                        const MetadataProvider& metadata,
+                        CompareReport& report) {
+  // A resident tree skips the read + deserialization phases entirely, which
+  // is what keeps warm daemon queries at metadata_bytes_read == 0.
+  PinnedTree pinned;
+  if (metadata) {
+    REPRO_ASSIGN_OR_RETURN(pinned, metadata(metadata_path));
   }
-
-  // --- setup: open checkpoint headers and stage-2 I/O backends.
-  std::optional<ckpt::CheckpointReader> reader_a;
-  std::optional<ckpt::CheckpointReader> reader_b;
-  std::unique_ptr<io::IoBackend> backend_a;
-  std::unique_ptr<io::IoBackend> backend_b;
-  {
-    telemetry::TraceSpan span("compare.setup");
-    PhaseTimer timer(report.timers, kPhaseSetup);
-    REPRO_ASSIGN_OR_RETURN(
-        auto opened_a, ckpt::CheckpointReader::open(pair.run_a.checkpoint_path));
-    REPRO_ASSIGN_OR_RETURN(
-        auto opened_b, ckpt::CheckpointReader::open(pair.run_b.checkpoint_path));
-    reader_a.emplace(std::move(opened_a));
-    reader_b.emplace(std::move(opened_b));
-    if (reader_a->data_bytes() != reader_b->data_bytes()) {
-      return repro::failed_precondition(
-          "checkpoints cover different data sizes");
+  if (!pinned.valid() && std::filesystem::exists(metadata_path)) {
+    // Sidecars map straight into place — the deserialize phase only
+    // resolves the tree view (the Figure-6 breakdown shows it as ~0).
+    merkle::MappedBundle opened;
+    {
+      PhaseTimer timer(report.timers, kPhaseRead);
+      REPRO_ASSIGN_OR_RETURN(opened, merkle::MappedBundle::open(metadata_path));
     }
-    REPRO_ASSIGN_OR_RETURN(
-        backend_a, io::open_backend_with_fallback(
-                       pair.run_a.checkpoint_path, options.backend,
-                       options.backend_options, options.backend_fallback,
-                       &report.io_fallbacks));
-    REPRO_ASSIGN_OR_RETURN(
-        backend_b, io::open_backend_with_fallback(
-                       pair.run_b.checkpoint_path, options.backend,
-                       options.backend_options, options.backend_fallback,
-                       &report.io_fallbacks));
+    report.metadata_bytes_read += opened.resident_bytes();
+    auto bundle =
+        std::make_shared<const merkle::MappedBundle>(std::move(opened));
+    PhaseTimer timer(report.timers, kPhaseDeserialize);
+    REPRO_ASSIGN_OR_RETURN(pinned.view, bundle->sole_tree());
+    pinned.pin = std::move(bundle);
+  } else if (!pinned.valid()) {
+    if (!options.build_metadata_if_missing) {
+      return repro::not_found("no merkle metadata at " +
+                              metadata_path.string());
+    }
+    // Offline mode: derive the tree now. Charged to the read phase since it
+    // replaces the metadata read with a bulk read + hash.
+    PhaseTimer timer(report.timers, kPhaseRead);
+    REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
+                           read_data_section(side));
+    REPRO_ASSIGN_OR_RETURN(merkle::MerkleTree built,
+                           build_tree(side.info, data, options));
+    const repro::Status saved = merkle::save_flat(built, metadata_path);
+    if (!saved.is_ok()) {
+      REPRO_LOG_WARN << "could not persist metadata sidecar: "
+                     << saved.to_string();
+    }
+    pinned = pin_tree(std::move(built));
   }
-  report.data_bytes = reader_a->data_bytes();
+  if (pinned.view.data_bytes() != side.info.data_bytes()) {
+    return repro::failed_precondition(
+        "metadata " + metadata_path.string() + " covers " +
+        std::to_string(pinned.view.data_bytes()) +
+        " bytes but its checkpoint has " +
+        std::to_string(side.info.data_bytes()));
+  }
+  side.tree = std::move(pinned);
+  return repro::Status::ok();
+}
 
-  // --- read + deserialization: the Merkle metadata. A preloaded side skips
-  // both phases — no sidecar read, no decode — which is what keeps warm
-  // service queries at metadata_bytes_read == 0.
-  telemetry::TraceSpan metadata_span("compare.load_metadata");
-  auto obtain_tree = [&](const PinnedTree& pinned,
-                         const ckpt::CheckpointReader& reader,
-                         const std::filesystem::path& metadata_path)
-      -> repro::Result<PinnedTree> {
-    if (pinned.valid()) {
-      if (pinned.view.data_bytes() != reader.data_bytes()) {
-        return repro::failed_precondition(
-            "preloaded metadata covers " +
-            std::to_string(pinned.view.data_bytes()) +
-            " bytes but checkpoint " + reader.path().string() + " has " +
-            std::to_string(reader.data_bytes()));
-      }
-      return pinned;
-    }
-    return load_or_build_tree(reader, metadata_path, options, report.timers,
-                              &report.metadata_bytes_read);
-  };
+repro::Result<Side> resident_side(const ckpt::CheckpointWriter& writer,
+                                  const CompareOptions& options,
+                                  CompareReport& report) {
+  PhaseTimer timer(report.timers, kPhaseRead);
+  Side side;
+  side.info = writer.info();
+  side.backend = io::open_memory_backend(writer.data_section());
   REPRO_ASSIGN_OR_RETURN(
-      const PinnedTree pinned_a,
-      obtain_tree(preloaded.tree_a, *reader_a, pair.run_a.metadata_path));
-  REPRO_ASSIGN_OR_RETURN(
-      const PinnedTree pinned_b,
-      obtain_tree(preloaded.tree_b, *reader_b, pair.run_b.metadata_path));
-  const merkle::TreeView& tree_a = pinned_a.view;
-  const merkle::TreeView& tree_b = pinned_b.view;
-  metadata_span.arg("bytes", report.metadata_bytes_read);
-  metadata_span.end();
+      merkle::MerkleTree built,
+      build_tree(side.info, writer.data_section(), options));
+  side.tree = pin_tree(std::move(built));
+  return side;
+}
 
+repro::Result<std::vector<std::uint8_t>> read_data_section(Side& side) {
+  std::vector<std::uint8_t> data(side.info.data_bytes());
+  REPRO_RETURN_IF_ERROR(side.backend->read_at(side.data_offset, data));
+  return data;
+}
+
+repro::Status compare_sides(Side& a, Side& b, const merkle::TreeView& tree_a,
+                            const merkle::TreeView& tree_b,
+                            std::uint64_t region_offset,
+                            const CompareOptions& options,
+                            CompareReport& report) {
   if (tree_a.params().hash.error_bound != options.error_bound) {
     return repro::failed_precondition(
         "metadata was captured with error bound " +
@@ -217,7 +199,8 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
   report.chunks_flagged = candidates.size();
 
   // --- compare_direct: stage 2, stream candidates + verify.
-  const std::vector<ckpt::FieldInfo>& fields = reader_a->info().fields;
+  const std::uint64_t chunk_bytes = tree_a.params().chunk_bytes;
+  const std::vector<ckpt::FieldInfo>& fields = a.info.fields;
   std::vector<FieldAccum> field_accum(
       options.collect_field_stats ? fields.size() : 0);
   if (!candidates.empty()) {
@@ -226,12 +209,15 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
     PhaseTimer timer(report.timers, kPhaseCompareDirect);
 
     io::StreamOptions stream_options = options.stream;
-    stream_options.base_offset_a = reader_a->data_offset();
-    stream_options.base_offset_b = reader_b->data_offset();
+    stream_options.base_offset_a = a.data_offset + region_offset;
+    stream_options.base_offset_b = b.data_offset + region_offset;
+    // Backends may serve several regions (one per field), so charge this
+    // region only the recovery activity it caused.
+    const io::IoStats before = a.backend->stats() + b.backend->stats();
 
-    io::PairedChunkStreamer streamer(
-        *backend_a, *backend_b, tree_a.params().chunk_bytes,
-        tree_a.data_bytes(), candidates, stream_options);
+    io::PairedChunkStreamer streamer(*a.backend, *b.backend, chunk_bytes,
+                                     tree_a.data_bytes(), candidates,
+                                     stream_options);
 
     const merkle::ValueKind kind = tree_a.params().value_kind;
     const std::uint32_t vsize = merkle::value_size(kind);
@@ -242,11 +228,13 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
     element_options.collect_stats = options.collect_field_stats;
     element_options.dynamic_grain = options.dynamic_grain;
 
+    // Raw diffs carry region-relative value indices.
     std::vector<ElementDiff> raw_diffs;
     while (io::ChunkSlice* slice = streamer.next()) {
       for (const auto& placement : slice->placements) {
+        // Data-section byte range of this placement (one chunk's bytes).
         const std::uint64_t begin_byte =
-            placement.chunk * tree_a.params().chunk_bytes;
+            region_offset + placement.chunk * chunk_bytes;
 
         // Compare one byte range of the placement, attributing its outcome
         // to `accum` when per-field stats are on.
@@ -260,8 +248,8 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
                   slice->data_a.data() + buffer_offset, seg_len),
               std::span<const std::uint8_t>(
                   slice->data_b.data() + buffer_offset, seg_len),
-              kind, options.error_bound, seg_byte / vsize, element_options,
-              options.collect_diffs ? &raw_diffs : nullptr);
+              kind, options.error_bound, (seg_byte - region_offset) / vsize,
+              element_options, options.collect_diffs ? &raw_diffs : nullptr);
           report.values_compared += result.values_compared;
           report.values_exceeding += result.values_exceeding;
           if (accum != nullptr) {
@@ -279,13 +267,13 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
           continue;
         }
 
-        // Field attribution: split the placement (one chunk's bytes) at
-        // field boundaries. Chunks rarely straddle more than one boundary,
-        // so the split costs a couple of extra compare_region calls at most.
+        // Field attribution: split the placement at field boundaries.
+        // Chunks rarely straddle more than one boundary, so the split costs
+        // a couple of extra compare_region calls at most.
         std::uint64_t off = begin_byte;
         const std::uint64_t end_byte = begin_byte + placement.length;
         while (off < end_byte) {
-          const ckpt::FieldInfo* field = reader_a->info().field_at(off);
+          const ckpt::FieldInfo* field = a.info.field_at(off);
           std::uint64_t seg_end = end_byte;
           FieldAccum* accum = nullptr;
           if (field != nullptr) {
@@ -312,34 +300,35 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
     REPRO_RETURN_IF_ERROR(streamer.status());
     report.bytes_read_per_file = streamer.bytes_read_per_file();
 
-    const io::IoStats io_stats = backend_a->stats() + backend_b->stats();
-    report.io_retries += io_stats.retries + streamer.batch_retries();
-    report.io_short_reads += io_stats.short_reads;
-    report.io_interrupts += io_stats.interrupts;
-    report.io_fallbacks += io_stats.fallbacks;
+    const io::IoStats after = a.backend->stats() + b.backend->stats();
+    report.io_retries +=
+        after.retries - before.retries + streamer.batch_retries();
+    report.io_short_reads += after.short_reads - before.short_reads;
+    report.io_interrupts += after.interrupts - before.interrupts;
+    report.io_fallbacks += after.fallbacks - before.fallbacks;
 
     // Map raw value indices back onto checkpoint fields. Sort-and-truncate
     // first so the reported sample is the max_diffs smallest indices in
     // ascending order — deterministic under the dynamic schedule.
     if (options.collect_diffs) {
       std::sort(raw_diffs.begin(), raw_diffs.end(),
-                [](const ElementDiff& a, const ElementDiff& b) {
-                  return a.value_index < b.value_index;
+                [](const ElementDiff& x, const ElementDiff& y) {
+                  return x.value_index < y.value_index;
                 });
       if (raw_diffs.size() > options.max_diffs) {
         raw_diffs.resize(options.max_diffs);
       }
       report.diffs.reserve(raw_diffs.size());
       for (const auto& raw : raw_diffs) {
+        const std::uint64_t byte_offset =
+            region_offset + raw.value_index * vsize;
         DiffRecord record;
-        record.value_index = raw.value_index;
+        record.value_index = byte_offset / vsize;
         record.value_a = raw.value_a;
         record.value_b = raw.value_b;
-        const std::uint64_t byte_offset = raw.value_index * vsize;
-        if (const auto* field = reader_a->info().field_at(byte_offset)) {
+        if (const auto* field = a.info.field_at(byte_offset)) {
           record.field = field->name;
-          record.element_index =
-              (byte_offset - field->data_offset) / vsize;
+          record.element_index = (byte_offset - field->data_offset) / vsize;
         }
         report.diffs.push_back(std::move(record));
       }
@@ -351,7 +340,6 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
   // report. Fields with no flagged chunks still get an entry: the timeline
   // renders "clean" rows, and first-divergence aggregation needs the zeros.
   if (options.collect_field_stats) {
-    const std::uint64_t chunk_bytes = tree_a.params().chunk_bytes;
     report.field_divergences.reserve(fields.size());
     for (std::size_t index = 0; index < fields.size(); ++index) {
       const ckpt::FieldInfo& field = fields[index];
@@ -385,8 +373,10 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
       report.field_divergences.push_back(std::move(divergence));
     }
   }
+  return repro::Status::ok();
+}
 
-  report.total_seconds = total.seconds();
+void record_compare_metrics(const CompareReport& report) {
   PairMetrics& metrics = PairMetrics::get();
   metrics.pairs.increment();
   metrics.chunks_total.add(report.chunks_total);
@@ -394,25 +384,80 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
   metrics.values_compared.add(report.values_compared);
   metrics.values_exceeding.add(report.values_exceeding);
   metrics.pair_seconds.record(report.total_seconds);
+}
+
+repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
+                                          const CompareOptions& options,
+                                          const MetadataProvider& metadata) {
+  Stopwatch total;
+  CompareReport report;
+  telemetry::TraceSpan pair_span("compare.pair");
+  pair_span.arg("file_a", pair.run_a.checkpoint_path.filename().string())
+      .arg("file_b", pair.run_b.checkpoint_path.filename().string());
+
+  if (options.evict_cache) {
+    for (const auto& path :
+         {pair.run_a.checkpoint_path, pair.run_b.checkpoint_path,
+          pair.run_a.metadata_path, pair.run_b.metadata_path}) {
+      if (std::filesystem::exists(path)) {
+        const repro::Status status = repro::evict_page_cache(path);
+        if (!status.is_ok()) {
+          REPRO_LOG_WARN << "cache eviction failed: " << status.to_string();
+        }
+      }
+    }
+  }
+
+  // --- setup: open checkpoint headers and stage-2 I/O backends.
+  Side a;
+  Side b;
+  {
+    telemetry::TraceSpan span("compare.setup");
+    REPRO_ASSIGN_OR_RETURN(
+        a, open_file_side(pair.run_a.checkpoint_path, options, report));
+    REPRO_ASSIGN_OR_RETURN(
+        b, open_file_side(pair.run_b.checkpoint_path, options, report));
+    if (a.info.data_bytes() != b.info.data_bytes()) {
+      return repro::failed_precondition(
+          "checkpoints cover different data sizes");
+    }
+  }
+  report.data_bytes = a.info.data_bytes();
+
+  // --- read + deserialization: the Merkle metadata.
+  {
+    telemetry::TraceSpan span("compare.load_metadata");
+    REPRO_RETURN_IF_ERROR(
+        load_tree(a, pair.run_a.metadata_path, options, metadata, report));
+    REPRO_RETURN_IF_ERROR(
+        load_tree(b, pair.run_b.metadata_path, options, metadata, report));
+    span.arg("bytes", report.metadata_bytes_read);
+  }
+
+  // --- compare_tree + compare_direct.
+  REPRO_RETURN_IF_ERROR(
+      compare_sides(a, b, a.tree.view, b.tree.view, 0, options, report));
+
+  report.total_seconds = total.seconds();
+  record_compare_metrics(report);
   pair_span.arg("chunks_flagged", report.chunks_flagged)
       .arg("values_exceeding", report.values_exceeding);
   return report;
+}
+
+std::filesystem::path sidecar_for(const std::filesystem::path& checkpoint) {
+  std::filesystem::path appended = checkpoint.string() + ".rmrk";
+  if (std::filesystem::exists(appended)) return appended;
+  std::filesystem::path replaced = checkpoint;
+  replaced.replace_extension(".rmrk");
+  if (std::filesystem::exists(replaced)) return replaced;
+  return appended;  // default target when neither exists yet
 }
 
 repro::Result<CompareReport> compare_files(
     const std::filesystem::path& checkpoint_a,
     const std::filesystem::path& checkpoint_b,
     const CompareOptions& options) {
-  // Sidecar lookup: "<file>.ckpt.rmrk" (bare-file convention) or
-  // "<file>.rmrk" (catalog convention, extension replaced).
-  auto sidecar_for = [](const std::filesystem::path& checkpoint) {
-    std::filesystem::path appended = checkpoint.string() + ".rmrk";
-    if (std::filesystem::exists(appended)) return appended;
-    std::filesystem::path replaced = checkpoint;
-    replaced.replace_extension(".rmrk");
-    if (std::filesystem::exists(replaced)) return replaced;
-    return appended;  // default target when neither exists yet
-  };
   ckpt::CheckpointPair pair;
   pair.run_a.checkpoint_path = checkpoint_a;
   pair.run_a.metadata_path = sidecar_for(checkpoint_a);
@@ -423,7 +468,8 @@ repro::Result<CompareReport> compare_files(
 
 repro::Result<HistoryReport> compare_histories(
     const ckpt::HistoryCatalog& catalog, const std::string& run_a,
-    const std::string& run_b, const HistoryOptions& options) {
+    const std::string& run_b, const HistoryOptions& options,
+    const MetadataProvider& metadata) {
   Stopwatch total;
   HistoryReport history;
   std::vector<ckpt::CheckpointPair> pairs;
@@ -438,7 +484,7 @@ repro::Result<HistoryReport> compare_histories(
   }
   for (const auto& pair : pairs) {
     REPRO_ASSIGN_OR_RETURN(CompareReport report,
-                           compare_pair(pair, options.pair_options));
+                           compare_pair(pair, options.pair_options, metadata));
     const bool diverged = !report.identical_within_bound();
     if (diverged && !history.first_divergent_iteration.has_value()) {
       history.first_divergent_iteration = pair.run_a.iteration;

@@ -11,10 +11,13 @@
 //   compare_direct   stream candidate chunks from both files, element-wise
 //                    verify within the error bound
 // The five phases are charged into CompareReport::timers exactly as in the
-// paper's Figure 6 breakdown.
+// paper's Figure 6 breakdown. The stages themselves live in the engine
+// (compare/engine.hpp) that OnlineComparator, compare_fields and the daemon
+// share with compare_pair.
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -84,29 +87,29 @@ struct PinnedTree {
   [[nodiscard]] bool valid() const noexcept { return view.valid(); }
 };
 
-/// Already-resident Merkle metadata supplied by a caller that keeps sidecars
-/// mapped (the compare service's sharded cache). A valid side skips the
-/// sidecar read + deserialize phases entirely, so a fully preloaded pair
-/// reports metadata_bytes_read == 0 — the "warm query touches zero sidecar
-/// I/O" guarantee.
-struct PreloadedMetadata {
-  PinnedTree tree_a;
-  PinnedTree tree_b;
-};
+/// Metadata hook: maps a sidecar path to a tree the caller already holds
+/// resident (the compare service's sharded cache). An invalid PinnedTree
+/// means "not resident; read the file". A resident tree skips the sidecar
+/// read + deserialize phases entirely, so a fully resident pair reports
+/// metadata_bytes_read == 0 — the "warm query touches zero sidecar I/O"
+/// guarantee. Trees are validated against their checkpoint's data-section
+/// size before use.
+using MetadataProvider =
+    std::function<repro::Result<PinnedTree>(const std::filesystem::path&)>;
 
-/// Compare one aligned checkpoint pair (same iteration, same rank).
-repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
-                                          const CompareOptions& options);
+/// Compare one aligned checkpoint pair (same iteration, same rank). Each
+/// side's tree comes from `metadata` when it has it, else from the sidecar.
+repro::Result<CompareReport> compare_pair(
+    const ckpt::CheckpointPair& pair, const CompareOptions& options,
+    const MetadataProvider& metadata = {});
 
-/// As above, but any non-null PreloadedMetadata side is used in place of the
-/// on-disk sidecar. Preloaded trees are validated against the checkpoint's
-/// data-section size before use.
-repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
-                                          const CompareOptions& options,
-                                          const PreloadedMetadata& preloaded);
+/// The metadata sidecar of a bare checkpoint path: "<file>.ckpt.rmrk" when
+/// it exists, else "<file>.rmrk" (catalog convention, extension replaced)
+/// when that exists, else the former as the place to build it.
+std::filesystem::path sidecar_for(const std::filesystem::path& checkpoint);
 
 /// Convenience overload for bare file paths: metadata sidecars are looked
-/// up at `<path>.rmrk` next to each checkpoint.
+/// up with sidecar_for().
 repro::Result<CompareReport> compare_files(
     const std::filesystem::path& checkpoint_a,
     const std::filesystem::path& checkpoint_b, const CompareOptions& options);
@@ -145,8 +148,10 @@ struct HistoryOptions {
   bool allow_ragged = false;
 };
 
+/// Every pair goes through compare_pair with `metadata` as its hook.
 repro::Result<HistoryReport> compare_histories(
     const ckpt::HistoryCatalog& catalog, const std::string& run_a,
-    const std::string& run_b, const HistoryOptions& options);
+    const std::string& run_b, const HistoryOptions& options,
+    const MetadataProvider& metadata = {});
 
 }  // namespace repro::cmp

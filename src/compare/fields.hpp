@@ -4,10 +4,11 @@
 // usually per variable: positions to 1e-6, velocities to 1e-4, potential to
 // 1e-3. This extension builds (or maps, sidecar "<ckpt>.rmrb": an RMF2 file
 // with one named tree per field) one Merkle tree per field — each at its
-// own bound and chunk size — and runs the two-stage comparison field by
-// field, so a loose-tolerance field prunes to nothing while a tight one is
-// still verified exactly. Reports keep the per-field structure (which field
-// diverged is the scientific question).
+// own bound — and runs the two-stage engine compare_pair runs
+// (compare/engine.hpp) once per field over that field's region of the data
+// section, so a loose-tolerance field prunes to nothing while a tight one
+// is still verified exactly. Reports keep the per-field structure (which
+// field diverged is the scientific question).
 #pragma once
 
 #include <filesystem>
@@ -16,33 +17,24 @@
 #include <vector>
 
 #include "ckpt/format.hpp"
-#include "ckpt/history.hpp"
 #include "common/status.hpp"
+#include "compare/comparator.hpp"
 #include "compare/report.hpp"
-#include "io/backend.hpp"
-#include "io/read_planner.hpp"
+#include "io/retry.hpp"
 #include "merkle/flat.hpp"
-#include "par/exec.hpp"
 
 namespace repro::cmp {
 
 struct FieldCompareOptions {
-  /// Per-field absolute error bounds; fields not listed use default_bound.
+  /// Per-field absolute error bounds; fields not listed use
+  /// compare.error_bound.
   std::map<std::string, double, std::less<>> field_bounds;
-  double default_bound = 1e-6;
 
-  std::uint64_t chunk_bytes = 16 * 1024;
-  std::uint32_t values_per_block = 4;
-
-  io::BackendKind backend = io::BackendKind::kUring;
-  bool backend_fallback = true;
-  io::BackendOptions backend_options;
-  io::PlanOptions plan;
-  par::Exec exec = par::Exec::parallel();
-
-  bool build_metadata_if_missing = true;
-  bool collect_diffs = false;
-  std::size_t max_diffs = 1024;
+  /// Everything else, as for compare_pair. Each field's tree is built with
+  /// tree.chunk_bytes (rounded down to whole values of the field's kind) and
+  /// tree.hash.values_per_block; collect_field_stats is ignored (the
+  /// FieldReports are the per-field breakdown).
+  CompareOptions compare;
 };
 
 struct FieldReport {
@@ -57,7 +49,10 @@ struct FieldReport {
 
 struct FieldsReport {
   std::vector<FieldReport> fields;
-  std::vector<DiffRecord> diffs;  ///< capped sample across all fields
+  /// The max_diffs smallest value indices across all fields, ascending.
+  std::vector<DiffRecord> diffs;
+  /// I/O recovery activity: backend setup plus every field's stage 2.
+  io::IoStats io;
   double total_seconds = 0;
 
   [[nodiscard]] bool identical_within_bounds() const noexcept {

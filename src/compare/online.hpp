@@ -9,6 +9,13 @@
 // built in memory and never touches storage unless the caller also captures
 // normally.
 //
+// check() runs the same two-stage engine as compare_pair (compare/engine.hpp)
+// with the same CompareOptions: the reference is a file Side (its sidecar,
+// or a tree built when build_metadata_if_missing allows), the live run a
+// resident Side whose flagged chunks are copied out of memory by the
+// stage-2 streamer. Verdicts, flagged chunks and the diff sample therefore
+// match compare_pair on the same pair written to disk.
+//
 // Typical use inside a simulation loop (see examples/online_monitor.cpp):
 //
 //   cmp::OnlineComparator monitor(catalog, "reference-run", options);
@@ -19,41 +26,23 @@
 
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/format.hpp"
 #include "ckpt/history.hpp"
 #include "common/status.hpp"
+#include "compare/comparator.hpp"
 #include "compare/report.hpp"
-#include "io/backend.hpp"
-#include "io/read_planner.hpp"
-#include "merkle/compare.hpp"
-#include "merkle/tree.hpp"
-#include "par/exec.hpp"
 
 namespace repro::cmp {
-
-struct OnlineOptions {
-  double error_bound = 1e-6;
-  /// Tree parameters for the live data; must match how the reference
-  /// metadata was captured (checked against the loaded sidecar).
-  merkle::TreeParams tree;
-  io::BackendKind backend = io::BackendKind::kUring;
-  bool backend_fallback = true;
-  io::BackendOptions backend_options;
-  io::PlanOptions plan;
-  merkle::TreeCompareOptions tree_compare;
-  par::Exec exec = par::Exec::parallel();
-  bool collect_diffs = false;
-  std::size_t max_diffs = 1024;
-};
 
 /// Compares a running application's checkpoints against a reference run's
 /// stored history, iteration by iteration.
 class OnlineComparator {
  public:
   OnlineComparator(ckpt::HistoryCatalog catalog, std::string reference_run,
-                   OnlineOptions options)
+                   CompareOptions options)
       : catalog_(std::move(catalog)),
         reference_run_(std::move(reference_run)),
         options_(std::move(options)) {}
@@ -61,7 +50,9 @@ class OnlineComparator {
   /// Compare the live checkpoint in `writer` (its info() names the
   /// iteration and rank) against the reference run's checkpoint for the
   /// same (iteration, rank). Reads reference metadata + only the flagged
-  /// reference chunks; the live side stays in memory.
+  /// reference chunks; the live side stays in memory. The live tree is
+  /// built with options.tree at options.error_bound, so both must match
+  /// how the reference was captured.
   repro::Result<CompareReport> check(const ckpt::CheckpointWriter& writer);
 
   /// Earliest divergent iteration observed so far (across ranks checked
@@ -88,7 +79,7 @@ class OnlineComparator {
  private:
   ckpt::HistoryCatalog catalog_;
   std::string reference_run_;
-  OnlineOptions options_;
+  CompareOptions options_;
   std::optional<std::uint64_t> first_divergence_;
   std::vector<std::tuple<std::uint64_t, std::uint32_t, CompareReport>>
       history_;

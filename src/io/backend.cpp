@@ -97,6 +97,22 @@ class BatchScope {
   telemetry::TraceSpan span_;
 };
 
+/// Overflow-safe EOF check shared by every backend: `offset + len > size`
+/// wraps for huge offsets and would wrongly pass (offset == UINT64_MAX - 1
+/// once did).
+repro::Status check_bounds(const ReadRequest& request, std::uint64_t size,
+                           std::string_view source) {
+  if (request.dest.size() > size ||
+      request.offset > size - request.dest.size()) {
+    return repro::out_of_range(
+        "read past EOF of " + std::string{source} + " (offset " +
+        std::to_string(request.offset) + " len " +
+        std::to_string(request.dest.size()) + " size " +
+        std::to_string(size) + ")");
+  }
+  return repro::Status::ok();
+}
+
 /// Shared open/size/close plumbing for fd-based backends.
 class FdBackendBase : public IoBackend {
  public:
@@ -127,20 +143,6 @@ class FdBackendBase : public IoBackend {
   }
 
  protected:
-  repro::Status check_bounds(const ReadRequest& request) const {
-    // Overflow-safe form: `offset + len > size` wraps for huge offsets and
-    // would wrongly pass (offset == UINT64_MAX - 1 once did).
-    if (request.dest.size() > size_ ||
-        request.offset > size_ - request.dest.size()) {
-      return repro::out_of_range(
-          "read past EOF of " + path_ + " (offset " +
-          std::to_string(request.offset) + " len " +
-          std::to_string(request.dest.size()) + " size " +
-          std::to_string(size_) + ")");
-    }
-    return repro::Status::ok();
-  }
-
   /// Full pread loop: continues short reads, absorbs bounded EINTR/EAGAIN
   /// storms, and gives transient EIO-class errors a capped, backed-off
   /// number of retries before failing.
@@ -202,7 +204,7 @@ class PreadBackend final : public FdBackendBase {
 
   repro::Status read_at(std::uint64_t offset,
                         std::span<std::uint8_t> dest) override {
-    REPRO_RETURN_IF_ERROR(check_bounds(ReadRequest{offset, dest}));
+    REPRO_RETURN_IF_ERROR(check_bounds({offset, dest}, size_, path_));
     return pread_full(offset, dest);
   }
 
@@ -241,7 +243,7 @@ class MmapBackend final : public FdBackendBase {
 
   repro::Status read_at(std::uint64_t offset,
                         std::span<std::uint8_t> dest) override {
-    REPRO_RETURN_IF_ERROR(check_bounds(ReadRequest{offset, dest}));
+    REPRO_RETURN_IF_ERROR(check_bounds({offset, dest}, size_, path_));
     IoMetrics& metrics = IoMetrics::get();
     metrics.read_ops.increment();
     metrics.read_bytes.add(dest.size());
@@ -279,14 +281,14 @@ class ThreadAsyncBackend final : public FdBackendBase {
 
   repro::Status read_at(std::uint64_t offset,
                         std::span<std::uint8_t> dest) override {
-    REPRO_RETURN_IF_ERROR(check_bounds(ReadRequest{offset, dest}));
+    REPRO_RETURN_IF_ERROR(check_bounds({offset, dest}, size_, path_));
     return pread_full(offset, dest);
   }
 
   repro::Status read_batch(std::span<ReadRequest> requests) override {
     BatchScope batch("threads", requests);
     for (const auto& request : requests) {
-      REPRO_RETURN_IF_ERROR(check_bounds(request));
+      REPRO_RETURN_IF_ERROR(check_bounds(request, size_, path_));
     }
     std::mutex mu;
     repro::Status first_error;
@@ -307,7 +309,46 @@ class ThreadAsyncBackend final : public FdBackendBase {
   par::ThreadPool pool_;
 };
 
+class MemoryBackend final : public IoBackend {
+ public:
+  explicit MemoryBackend(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes) {}
+
+  [[nodiscard]] std::uint64_t size() const noexcept override {
+    return bytes_.size();
+  }
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "memory";
+  }
+
+  repro::Status read_at(std::uint64_t offset,
+                        std::span<std::uint8_t> dest) override {
+    REPRO_RETURN_IF_ERROR(
+        check_bounds({offset, dest}, bytes_.size(), "memory"));
+    if (!dest.empty()) {  // memcpy(null, ...) is UB
+      std::memcpy(dest.data(), bytes_.data() + offset, dest.size());
+    }
+    return repro::Status::ok();
+  }
+
+  repro::Status read_batch(std::span<ReadRequest> requests) override {
+    for (const auto& request : requests) {
+      REPRO_RETURN_IF_ERROR(read_at(request.offset, request.dest));
+    }
+    return repro::Status::ok();
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+};
+
 }  // namespace
+
+std::unique_ptr<IoBackend> open_memory_backend(
+    std::span<const std::uint8_t> bytes) {
+  return std::make_unique<MemoryBackend>(bytes);
+}
 
 repro::Result<std::unique_ptr<IoBackend>> open_backend(
     const std::filesystem::path& path, BackendKind kind,

@@ -8,6 +8,9 @@
 //   kMmap        — map the file, copy ranges (page-fault driven)
 //   kUring       — Linux io_uring via raw syscalls (the paper's choice)
 //   kThreadAsync — portable async: a team of I/O threads issuing preads
+// open_memory_backend() serves resident bytes through the same interface,
+// so a run held in memory (the online comparator's live side) streams
+// through stage 2 like a file.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +91,11 @@ repro::Result<std::unique_ptr<IoBackend>> open_backend_with_fallback(
     const std::filesystem::path& path, BackendKind kind,
     const BackendOptions& options, bool fallback,
     std::uint64_t* fallbacks = nullptr);
+
+/// A backend over resident bytes (bounds-checked memcpy reads; no file, no
+/// recovery counters). `bytes` must outlive the backend.
+std::unique_ptr<IoBackend> open_memory_backend(
+    std::span<const std::uint8_t> bytes);
 
 /// io_uring if available, otherwise the thread-async backend.
 repro::Result<std::unique_ptr<IoBackend>> open_best(

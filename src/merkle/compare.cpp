@@ -1,6 +1,8 @@
 #include "merkle/compare.hpp"
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -26,6 +28,24 @@ struct CompareMetrics {
   }
 };
 
+/// " (name a vs b, ...)" over the parameters that differ, so a rejected
+/// compare says which capture setting to fix.
+std::string describe_mismatch(const TreeParams& a, const TreeParams& b) {
+  std::ostringstream out;
+  auto differ = [&out](const char* name, const auto& x, const auto& y) {
+    if (x == y) return;
+    out << (out.tellp() == 0 ? " (" : ", ") << name << ' ' << x << " vs "
+        << y;
+  };
+  differ("chunk_bytes", a.chunk_bytes, b.chunk_bytes);
+  differ("value_kind", value_kind_name(a.value_kind),
+         value_kind_name(b.value_kind));
+  differ("error_bound", a.hash.error_bound, b.hash.error_bound);
+  differ("values_per_block", a.hash.values_per_block,
+         b.hash.values_per_block);
+  return out.tellp() == 0 ? std::string{} : out.str() + ")";
+}
+
 }  // namespace
 
 std::uint32_t auto_start_level(const TreeLayout& layout, std::size_t ways) {
@@ -46,7 +66,8 @@ repro::Result<std::vector<std::uint64_t>> compare_trees(
   }
   if (run_a.params() != run_b.params()) {
     return repro::failed_precondition(
-        "merkle trees built with different parameters");
+        "merkle trees built with different parameters" +
+        describe_mismatch(run_a.params(), run_b.params()));
   }
   if (run_a.data_bytes() != run_b.data_bytes()) {
     return repro::failed_precondition(

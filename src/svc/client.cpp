@@ -17,15 +17,9 @@
 
 #include "io/retry.hpp"
 #include "svc/monitor.hpp"
+#include "svc/socket.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-
-// Platforms without MSG_NOSIGNAL (macOS) would need SO_NOSIGPIPE or a
-// process-wide SIGPIPE ignore; on the targets we build for, the flag turns
-// a vanished server into a plain EPIPE error instead of a fatal signal.
-#if !defined(MSG_NOSIGNAL)
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace repro::svc {
 
@@ -160,21 +154,7 @@ repro::Status Client::send_request(Opcode op, std::uint64_t request_id,
   if (fd_ < 0) return repro::failed_precondition("client is closed");
   std::vector<std::uint8_t> frame;
   append_request(frame, op, request_id, payload, json, trace);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n =
-        ::send(fd_, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    // A zero return leaves errno stale; bail out rather than misread it
-    // (or spin on a blocking socket that is making no progress).
-    if (n == 0) return repro::unavailable("send: no progress");
-    if (io::errno_is_interrupt(errno)) continue;
-    return repro::unavailable(std::string("send: ") + std::strerror(errno));
-  }
-  return repro::Status::ok();
+  return send_all(fd_, frame);
 }
 
 repro::Result<Response> Client::recv_response() {

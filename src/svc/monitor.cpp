@@ -8,6 +8,7 @@
 #include "common/build_info.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
+#include "merkle/compare.hpp"
 #include "telemetry/json_parse.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -421,28 +422,26 @@ WatchReply Monitor::compare_iteration(Session& session,
     return {WireStatus::kInternal,
             error_payload(ref_tree.status().to_string())};
   }
-  const merkle::TreeView& theirs = ref_tree.value();
-  if (theirs.layout().num_leaves != session.num_leaves ||
-      theirs.params().chunk_bytes != session.params.chunk_bytes) {
-    return bad_request(
-        "watched frontier geometry does not match the reference sidecar");
-  }
-
+  // Stage 1 of the compare engine: the pruned BFS. Serial, because this is
+  // the event-loop thread, which must never wait on a pool. Parameters or
+  // data sizes that differ make the digests incomparable; the session can
+  // never match this reference, so the push poisons the stream.
   const merkle::TreeView mine(session.frontier);
-  std::uint64_t flagged = 0;
-  std::uint64_t first_chunk = 0;
-  const bool clean = mine.root() == theirs.root();
-  if (!clean) {
-    bool first_seen = false;
-    for (std::uint64_t chunk = 0; chunk < session.num_leaves; ++chunk) {
-      if (mine.leaf(chunk) == theirs.leaf(chunk)) continue;
-      ++flagged;
-      if (!first_seen) {
-        first_seen = true;
-        first_chunk = chunk;
-      }
+  auto candidates = merkle::compare_trees(ref_tree.value(), mine,
+                                          {.exec = par::Exec::serial()});
+  if (!candidates.is_ok()) {
+    if (candidates.status().code() == repro::StatusCode::kFailedPrecondition) {
+      return bad_request("reference sidecar cannot be compared with this "
+                         "session: " +
+                         std::string{candidates.status().message()});
     }
+    return {WireStatus::kInternal,
+            error_payload(candidates.status().to_string())};
   }
+  const std::vector<std::uint64_t>& flagged_chunks = candidates.value();
+  const bool clean = flagged_chunks.empty();
+  const std::uint64_t flagged = flagged_chunks.size();
+  const std::uint64_t first_chunk = clean ? 0 : flagged_chunks.front();
   ++session.compared;
 
   const bool first_divergence = !clean && !session.alerted;

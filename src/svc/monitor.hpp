@@ -8,9 +8,15 @@
 // entry encoding), the daemon incrementally rebuilds the watched run's
 // frontier tree (full nodes on the first push, apply_tree_delta for the
 // rest) and compares it against the reference run's sidecar from the
-// resident MetadataCache. The clean case costs one root-digest compare; on
-// the first mismatch the daemon counts flagged leaves, replies with a
-// divergent verdict, and emits one `repro.divergence.alert` v1 JSONL record
+// resident MetadataCache with the compare engine's stage 1, the pruned BFS
+// (merkle::compare_trees, serial on the loop thread): a clean push costs
+// one start-level sweep, a divergent one descends only mismatching
+// subtrees to the candidate chunks. A reference whose tree parameters (ε,
+// values_per_block, chunk size, value kind) or data size differ from the
+// session's cannot be compared and is a BAD_REQUEST. On the first
+// divergent push the daemon replies with a divergent verdict (the
+// candidate count and first candidate chunk) and emits one
+// `repro.divergence.alert` v1 JSONL record
 // (self-contained header: schema, version, build provenance) to the alert
 // file — the detection-latency SLO (`svc.watch.detection_latency_us`)
 // measures push arrival to alert emission.

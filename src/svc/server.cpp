@@ -15,7 +15,6 @@
 #include <vector>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -27,12 +26,6 @@
 #define REPRO_SVC_HAVE_EPOLL 1
 #endif
 
-// Platforms without MSG_NOSIGNAL (macOS) rely on the daemon-wide SIGPIPE
-// ignore installed by install_signal_handlers().
-#if !defined(MSG_NOSIGNAL)
-#define MSG_NOSIGNAL 0
-#endif
-
 #include "ckpt/history.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
@@ -41,6 +34,7 @@
 #include "merkle/nodestore.hpp"
 #include "par/thread_pool.hpp"
 #include "svc/monitor.hpp"
+#include "svc/socket.hpp"
 #include "telemetry/json_parse.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
@@ -152,31 +146,6 @@ struct SvcMetrics {
     return *metrics;
   }
 };
-
-// ---------------------------------------------------------------------------
-// Nonblocking-socket plumbing.
-
-repro::Status set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return repro::internal_error(std::string("fcntl(O_NONBLOCK): ") +
-                                 std::strerror(errno));
-  }
-  ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-  return repro::Status::ok();
-}
-
-/// Printable peer identity for the access log: "tcp:ip:port" for TCP
-/// clients, "unix" for unix-domain peers (anonymous by design).
-std::string peer_name(const sockaddr_storage& addr) {
-  if (addr.ss_family == AF_INET) {
-    const auto& in = reinterpret_cast<const sockaddr_in&>(addr);
-    char buf[INET_ADDRSTRLEN] = {};
-    ::inet_ntop(AF_INET, &in.sin_addr, buf, sizeof(buf));
-    return std::string("tcp:") + buf + ":" + std::to_string(ntohs(in.sin_port));
-  }
-  return "unix";
-}
 
 // ---------------------------------------------------------------------------
 // Readiness polling: epoll where available, poll(2) everywhere else. The
@@ -1264,20 +1233,19 @@ struct Server::Impl {
     }
   }
 
-  /// Pin (or load) both sides' trees and run the two-stage compare with
-  /// preloaded metadata. Sidecar-less checkpoints fall back to the
+  /// Metadata hook for compare_pair/compare_histories: pins each sidecar
+  /// from the cache (loading it on a miss) and appends one hit flag per
+  /// lookup to `hits`. Sidecar-less checkpoints fall back to the
   /// comparator's build-on-the-fly path and are cached on the next query.
   /// `timings` accumulates the cache-lookup / sidecar-load split: loader
   /// time on a miss counts as sidecar load, the remainder of get_or_load
   /// as cache lookup.
-  repro::Result<cmp::CompareReport> cached_compare(
-      const ckpt::CheckpointPair& pair, const cmp::CompareOptions& opts,
-      bool* hit_a, bool* hit_b, RequestTimings* timings) {
-    cmp::PreloadedMetadata preloaded;
-    auto pin = [&](const std::filesystem::path& metadata_path, bool* hit)
-        -> repro::Result<cmp::PinnedTree> {
+  cmp::MetadataProvider cache_provider(std::vector<bool>& hits,
+                                       RequestTimings& timings) {
+    return [this, &hits, &timings](const std::filesystem::path& metadata_path)
+               -> repro::Result<cmp::PinnedTree> {
       if (!std::filesystem::exists(metadata_path)) {
-        *hit = false;
+        hits.push_back(false);
         return cmp::PinnedTree{};
       }
       const SidecarKey sidecar = sidecar_cache_key(metadata_path);
@@ -1292,21 +1260,18 @@ struct Server::Impl {
         load_us = load_clock.seconds() * 1e6;
         return bundle;
       };
+      bool hit = false;
       Stopwatch lookup_clock;
       REPRO_ASSIGN_OR_RETURN(BundlePtr bundle,
-                             cache.get_or_load(sidecar.key, load, hit));
-      timings->cache_lookup_us +=
+                             cache.get_or_load(sidecar.key, load, &hit));
+      hits.push_back(hit);
+      timings.cache_lookup_us +=
           std::max(0.0, lookup_clock.seconds() * 1e6 - load_us);
-      timings->sidecar_load_us += load_us;
+      timings.sidecar_load_us += load_us;
       REPRO_ASSIGN_OR_RETURN(const merkle::TreeView view,
                              bundle->sole_tree());
       return cmp::PinnedTree{view, std::move(bundle)};
     };
-    REPRO_ASSIGN_OR_RETURN(preloaded.tree_a,
-                           pin(pair.run_a.metadata_path, hit_a));
-    REPRO_ASSIGN_OR_RETURN(preloaded.tree_b,
-                           pin(pair.run_b.metadata_path, hit_b));
-    return cmp::compare_pair(pair, opts, preloaded);
   }
 
   cmp::CompareOptions request_options(const telemetry::JsonValue& request) {
@@ -1322,18 +1287,10 @@ struct Server::Impl {
     if (request.find("file_a") != nullptr) {
       const std::filesystem::path file_a = request.string_or("file_a", "");
       const std::filesystem::path file_b = request.string_or("file_b", "");
-      auto sidecar_for = [](const std::filesystem::path& checkpoint) {
-        std::filesystem::path appended = checkpoint.string() + ".rmrk";
-        if (std::filesystem::exists(appended)) return appended;
-        std::filesystem::path replaced = checkpoint;
-        replaced.replace_extension(".rmrk");
-        if (std::filesystem::exists(replaced)) return replaced;
-        return appended;
-      };
       pair.run_a.checkpoint_path = file_a;
-      pair.run_a.metadata_path = sidecar_for(file_a);
+      pair.run_a.metadata_path = cmp::sidecar_for(file_a);
       pair.run_b.checkpoint_path = file_b;
-      pair.run_b.metadata_path = sidecar_for(file_b);
+      pair.run_b.metadata_path = cmp::sidecar_for(file_b);
     } else if (request.find("root") != nullptr) {
       const ckpt::HistoryCatalog catalog(request.string_or("root", ""));
       const std::uint64_t iteration = request.u64_or("iteration", 0);
@@ -1353,15 +1310,17 @@ struct Server::Impl {
       return;
     }
 
-    bool hit_a = false;
-    bool hit_b = false;
-    auto result = cached_compare(pair, request_options(request), &hit_a,
-                                 &hit_b, &done->timings);
+    std::vector<bool> hits;
+    auto result = cmp::compare_pair(pair, request_options(request),
+                                    cache_provider(hits, done->timings));
     if (!result.is_ok()) {
       done->status = wire_status_for(result.status());
       done->payload = error_payload(result.status().to_string());
       return;
     }
+    // One lookup per side, side A first.
+    const bool hit_a = hits.size() == 2 && hits[0];
+    const bool hit_b = hits.size() == 2 && hits[1];
     done->cache_hit = hit_a && hit_b;
     const cmp::CompareReport& report = result.value();
     Stopwatch serialize_clock;
@@ -1388,8 +1347,8 @@ struct Server::Impl {
     done->timings.serialize_us += serialize_clock.seconds() * 1e6;
   }
 
-  /// TIMELINE: {"root","run_a","run_b"}; optional "eps". Pairs leniently
-  /// and compares each (iteration, rank) through the cache.
+  /// TIMELINE: {"root","run_a","run_b"}; optional "eps". The run pair's
+  /// compare_histories (paired leniently) with every tree from the cache.
   void handle_timeline(const telemetry::JsonValue& request, Completion* done) {
     const std::string root = request.string_or("root", "");
     const std::string run_a = request.string_or("run_a", "");
@@ -1399,76 +1358,56 @@ struct Server::Impl {
       done->payload = error_payload("TIMELINE needs root, run_a, run_b");
       return;
     }
-    const ckpt::HistoryCatalog catalog(root);
-    auto pairing = catalog.pair_runs_lenient(run_a, run_b);
-    if (!pairing.is_ok()) {
-      done->status = wire_status_for(pairing.status());
-      done->payload = error_payload(pairing.status().to_string());
+    std::vector<bool> hits;
+    auto result = cmp::compare_histories(
+        ckpt::HistoryCatalog(root), run_a, run_b,
+        {.pair_options = request_options(request), .allow_ragged = true},
+        cache_provider(hits, done->timings));
+    if (!result.is_ok()) {
+      done->status = wire_status_for(result.status());
+      done->payload = error_payload(result.status().to_string());
       return;
     }
-    const cmp::CompareOptions opts = request_options(request);
-
-    std::string rows = "[";
-    bool first_row = true;
-    std::optional<std::uint64_t> first_iteration;
-    std::optional<std::uint32_t> first_rank;
-    std::uint64_t cache_hits = 0;
-    for (const auto& pair : pairing.value().pairs) {
-      bool hit_a = false;
-      bool hit_b = false;
-      auto result = cached_compare(pair, opts, &hit_a, &hit_b,
-                                   &done->timings);
-      if (!result.is_ok()) {
-        done->status = wire_status_for(result.status());
-        done->payload = error_payload(result.status().to_string());
-        return;
-      }
-      cache_hits += static_cast<std::uint64_t>(hit_a) +
-                    static_cast<std::uint64_t>(hit_b);
-      const cmp::CompareReport& report = result.value();
-      const bool identical = report.identical_within_bound();
-      if (!identical && !first_iteration.has_value()) {
-        first_iteration = pair.run_a.iteration;
-        first_rank = pair.run_a.rank;
-      }
-      if (!first_row) rows += ',';
-      first_row = false;
-      rows += '{';
-      bool first = true;
-      append_kv(rows, "iteration", pair.run_a.iteration, &first);
-      append_kv(rows, "rank", std::uint64_t{pair.run_a.rank}, &first);
-      append_kv(rows, "exit_code", std::uint64_t{identical ? 0u : 1u},
-                &first);
-      append_kv(rows, "values_exceeding", report.values_exceeding, &first);
-      append_kv(rows, "chunks_flagged", report.chunks_flagged, &first);
-      rows += '}';
-    }
-    rows += ']';
-    done->cache_hit =
-        !pairing.value().pairs.empty() &&
-        cache_hits == 2 * std::uint64_t{pairing.value().pairs.size()};
+    const cmp::HistoryReport& history = result.value();
+    const auto cache_hits =
+        static_cast<std::uint64_t>(std::count(hits.begin(), hits.end(), true));
+    done->cache_hit = !history.pairs.empty() &&
+                      cache_hits == 2 * std::uint64_t{history.pairs.size()};
 
     Stopwatch serialize_clock;
-    std::string out = "{\"pairs\":" + rows;
-    out += ",\"first_divergent_iteration\":";
-    if (first_iteration.has_value()) {
-      json_append_number(out, *first_iteration);
+    std::string out = "{\"pairs\":[";
+    for (const auto& [pair, report] : history.pairs) {
+      if (out.back() != '[') out += ',';
+      out += '{';
+      bool first = true;
+      append_kv(out, "iteration", pair.run_a.iteration, &first);
+      append_kv(out, "rank", std::uint64_t{pair.run_a.rank}, &first);
+      append_kv(out, "exit_code",
+                std::uint64_t{report.identical_within_bound() ? 0u : 1u},
+                &first);
+      append_kv(out, "values_exceeding", report.values_exceeding, &first);
+      append_kv(out, "chunks_flagged", report.chunks_flagged, &first);
+      out += '}';
+    }
+    out += "],\"first_divergent_iteration\":";
+    if (history.first_divergent_iteration.has_value()) {
+      json_append_number(out, *history.first_divergent_iteration);
     } else {
       out += "null";
     }
     out += ",\"first_divergent_rank\":";
-    if (first_rank.has_value()) {
-      json_append_number(out, std::uint64_t{*first_rank});
+    if (history.first_divergent_rank.has_value()) {
+      json_append_number(out, std::uint64_t{*history.first_divergent_rank});
     } else {
       out += "null";
     }
     out += ',';
     bool tail = true;  // the comma is already in place for the first pair
     append_kv(out, "cache_hits", cache_hits, &tail);
-    append_kv(out, "only_in_a",
-              std::uint64_t{pairing.value().only_in_a.size()}, &tail);
-    append_kv(out, "only_in_b",
-              std::uint64_t{pairing.value().only_in_b.size()}, &tail);
+    append_kv(out, "only_in_a", std::uint64_t{history.only_in_a.size()},
+              &tail);
+    append_kv(out, "only_in_b", std::uint64_t{history.only_in_b.size()},
+              &tail);
     out += '}';
     done->payload = std::move(out);
     done->timings.serialize_us += serialize_clock.seconds() * 1e6;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/fs.hpp"
 #include "sim/workload.hpp"
 
@@ -23,9 +28,9 @@ FieldCompareOptions tight_x_loose_phi() {
   FieldCompareOptions options;
   options.field_bounds["X"] = 1e-6;
   options.field_bounds["PHI"] = 1e-2;
-  options.default_bound = 1e-4;  // applies to VX
-  options.chunk_bytes = 4096;
-  options.backend = io::BackendKind::kPread;
+  options.compare.error_bound = 1e-4;  // applies to VX
+  options.compare.tree.chunk_bytes = 4096;
+  options.compare.backend = io::BackendKind::kPread;
   return options;
 }
 
@@ -125,13 +130,59 @@ TEST_F(FieldsTest, DiffsCarryFieldLocalIndices) {
   write_three_field_checkpoint(dir_.file("b.ckpt"), x, vx, phi);
 
   FieldCompareOptions options = tight_x_loose_phi();
-  options.collect_diffs = true;
+  options.compare.collect_diffs = true;
   const auto report =
       compare_fields(dir_.file("a.ckpt"), dir_.file("b.ckpt"), options);
   ASSERT_TRUE(report.is_ok());
   ASSERT_EQ(report.value().diffs.size(), 1U);
   EXPECT_EQ(report.value().diffs[0].field, "X");
   EXPECT_EQ(report.value().diffs[0].element_index, 321U);
+}
+
+TEST_F(FieldsTest, DiffSampleIsTheSmallestIndicesAscending) {
+  const auto x = sim::generate_field(20000, 21);
+  const auto vx = sim::generate_field(20000, 22);
+  const auto phi = sim::generate_field(20000, 23);
+  auto x_b = x;
+  auto vx_b = vx;
+  sim::apply_divergence(x_b, {.region_fraction = 0.05, .region_values = 64,
+                              .magnitude = 1e-3, .seed = 24});
+  sim::apply_divergence(vx_b, {.region_fraction = 0.05, .region_values = 64,
+                               .magnitude = 1e-2, .seed = 25});
+  write_three_field_checkpoint(dir_.file("a.ckpt"), x, vx, phi);
+  write_three_field_checkpoint(dir_.file("b.ckpt"), x_b, vx_b, phi);
+
+  // Ground truth in data-section order: X's violations, then VX's.
+  std::vector<std::pair<std::string, std::uint64_t>> truth;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::abs(double{x[i]} - double{x_b[i]}) > 1e-6) {
+      truth.emplace_back("X", i);
+    }
+  }
+  for (std::size_t i = 0; i < vx.size(); ++i) {
+    if (std::abs(double{vx[i]} - double{vx_b[i]}) > 1e-4) {
+      truth.emplace_back("VX", i);
+    }
+  }
+
+  FieldCompareOptions options = tight_x_loose_phi();
+  options.compare.collect_diffs = true;
+  options.compare.max_diffs = 40;
+  options.compare.exec = par::Exec::parallel();
+  const auto report =
+      compare_fields(dir_.file("a.ckpt"), dir_.file("b.ckpt"), options);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  ASSERT_GT(truth.size(), options.compare.max_diffs);
+  truth.resize(options.compare.max_diffs);
+  const auto& diffs = report.value().diffs;
+  ASSERT_EQ(diffs.size(), truth.size());
+  for (std::size_t i = 0; i < diffs.size(); ++i) {
+    EXPECT_EQ(diffs[i].field, truth[i].first) << i;
+    EXPECT_EQ(diffs[i].element_index, truth[i].second) << i;
+    if (i > 0) {
+      EXPECT_LT(diffs[i - 1].value_index, diffs[i].value_index);
+    }
+  }
 }
 
 TEST_F(FieldsTest, StaleBundleWithDifferentBoundRejected) {

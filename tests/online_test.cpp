@@ -44,8 +44,8 @@ ckpt::CheckpointWriter live_writer(std::uint64_t iteration,
   return writer;
 }
 
-OnlineOptions online_options() {
-  OnlineOptions options;
+CompareOptions online_options() {
+  CompareOptions options;
   options.error_bound = kEps;
   options.tree = tree_params();
   options.backend = io::BackendKind::kPread;
@@ -97,7 +97,7 @@ TEST_F(OnlineTest, DiffsLocalized) {
   store_reference(catalog_, 10, values);
   values[777] += 1.0f;
 
-  OnlineOptions options = online_options();
+  CompareOptions options = online_options();
   options.collect_diffs = true;
   OnlineComparator monitor(catalog_, "reference", options);
   const auto report = monitor.check(live_writer(10, values));
@@ -135,7 +135,7 @@ TEST_F(OnlineTest, MissingReferenceIterationFails) {
 TEST_F(OnlineTest, MismatchedBoundRejected) {
   const auto values = sim::generate_field(10000, 5);
   store_reference(catalog_, 10, values);
-  OnlineOptions options = online_options();
+  CompareOptions options = online_options();
   options.error_bound = 1e-3;  // reference captured at 1e-5
   options.tree.hash.error_bound = 1e-3;
   OnlineComparator monitor(catalog_, "reference", options);
@@ -179,6 +179,46 @@ TEST_F(OnlineTest, AgreesWithOfflineComparator) {
   EXPECT_EQ(online.value().values_exceeding,
             offline.value().values_exceeding);
   EXPECT_EQ(online.value().chunks_flagged, offline.value().chunks_flagged);
+}
+
+TEST_F(OnlineTest, DiffSampleMatchesComparePairRecordForRecord) {
+  const auto values = sim::generate_field(40000, 9);
+  store_reference(catalog_, 10, values);
+  auto live = values;
+  sim::apply_divergence(live, {.region_fraction = 0.3, .region_values = 200,
+                               .magnitude = 1e-3, .seed = 9});
+  const ckpt::CheckpointWriter writer = live_writer(10, live);
+  const auto live_ref = catalog_.make_ref("live", 10, 0);
+  ASSERT_TRUE(live_ref.is_ok());
+  ASSERT_TRUE(writer.write(live_ref.value().checkpoint_path).is_ok());
+
+  CompareOptions options = online_options();
+  options.collect_diffs = true;
+  options.max_diffs = 32;
+  options.exec = par::Exec::parallel();
+  OnlineComparator monitor(catalog_, "reference", options);
+  const auto online = monitor.check(writer);
+  ASSERT_TRUE(online.is_ok()) << online.status().to_string();
+  const auto offline = compare_pair(
+      {catalog_.ref("reference", 10, 0), live_ref.value()}, options);
+  ASSERT_TRUE(offline.is_ok()) << offline.status().to_string();
+
+  EXPECT_GE(online.value().chunks_flagged, 8U);
+  EXPECT_GT(online.value().values_exceeding, options.max_diffs);
+  const auto& got = online.value().diffs;
+  const auto& want = offline.value().diffs;
+  ASSERT_EQ(got.size(), options.max_diffs);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].field, want[i].field) << i;
+    EXPECT_EQ(got[i].element_index, want[i].element_index) << i;
+    EXPECT_EQ(got[i].value_index, want[i].value_index) << i;
+    EXPECT_EQ(got[i].value_a, want[i].value_a) << i;
+    EXPECT_EQ(got[i].value_b, want[i].value_b) << i;
+    if (i > 0) {
+      EXPECT_LT(got[i - 1].value_index, got[i].value_index);
+    }
+  }
 }
 
 TEST_F(OnlineTest, AgreesWithComparePairOnCapturedReference) {

@@ -463,6 +463,58 @@ TEST_F(MonitorTest, OutOfOrderPushGetsOneBadRequestThenClose) {
   stop_server();
 }
 
+// A session whose tree parameters differ from the reference sidecar's has
+// digests that cannot be compared with it: every push is one BAD_REQUEST
+// naming the mismatch (then the poisoned-stream close), never a divergent
+// verdict or an alert.
+class MonitorMismatchTest : public MonitorTest {
+ protected:
+  void expect_rejected(const merkle::TreeParams& live_params,
+                       const std::string& open_overrides,
+                       const std::string& mismatch) {
+    ckpt::HistoryCatalog catalog{dir_.path()};
+    const auto x = sim::generate_field(4000, 1);
+    const auto phi = sim::generate_field(4000, 2);
+    write_history_checkpoint(catalog, "ref", 10, x, phi, tree_params(1e-5));
+    std::uint64_t data_bytes = 0;
+    const auto tree = build_live_tree(x, phi, live_params, &data_bytes);
+
+    start_server(base_options());
+    auto client = connect_client();
+    ASSERT_TRUE(client.is_ok());
+    const std::string request = "{\"root\":\"" + dir_.path().string() +
+                                "\",\"run\":\"live\",\"reference\":\"ref\"," +
+                                "\"rank\":0,\"data_bytes\":" +
+                                std::to_string(data_bytes) +
+                                ",\"chunk_bytes\":1024," + open_overrides +
+                                "}";
+    auto opened = client.value().watch_open(request);
+    ASSERT_TRUE(opened.is_ok());
+    ASSERT_TRUE(opened.value().ok()) << opened.value().payload;
+
+    auto reply = client.value().watch_push(full_frame(tree, 10));
+    ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+    EXPECT_EQ(reply.value().status, WireStatus::kBadRequest)
+        << reply.value().payload;
+    EXPECT_NE(reply.value().payload.find(mismatch), std::string::npos)
+        << reply.value().payload;
+    EXPECT_FALSE(client.value().recv_response().is_ok());
+    EXPECT_TRUE(read_lines(dir_.file("alerts.jsonl")).empty());
+    stop_server();
+  }
+};
+
+TEST_F(MonitorMismatchTest, ReferenceAtAnotherErrorBoundIsRejected) {
+  expect_rejected(tree_params(1e-4), "\"eps\":1e-4", "error_bound");
+}
+
+TEST_F(MonitorMismatchTest, ReferenceAtAnotherBlockSizeIsRejected) {
+  merkle::TreeParams live = tree_params(1e-5);
+  live.hash.values_per_block = 8;
+  expect_rejected(live, "\"eps\":1e-5,\"values_per_block\":8",
+                  "values_per_block");
+}
+
 TEST_F(MonitorTest, PushWithoutSessionIsRejected) {
   start_server(base_options());
   auto client = connect_client();

@@ -260,6 +260,45 @@ TEST_F(RouterFabricTest, ForwardsVerdictsAndLogsUpstreamWithTrace) {
   stop_router();
 }
 
+TEST_F(RouterFabricTest, TcpPeersAreLoggedInTheSharedPeerFormat) {
+  // A TCP listener this time: the access record's peer must use the
+  // daemon's "tcp:<ip>:<port>" format (docs/FORMATS.md), not a bare ip:port.
+  for (int i = 0; i < kWorkers; ++i) start_worker(i, worker_options(i));
+  RouterOptions opts;
+  opts.workers = ring_workers();
+  opts.access_log_path = dir_.file("router-access.jsonl");
+  router_ = std::make_unique<Router>(std::move(opts));
+  ASSERT_TRUE(router_->start().is_ok());
+  router_thread_ = std::thread([this] { router_status_ = router_->serve(); });
+
+  ClientOptions client_opts;
+  client_opts.port = router_->port();
+  client_opts.timeout = std::chrono::milliseconds{20000};
+  auto client = Client::connect(client_opts);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto ping = client.value().call(Opcode::kPing, "");
+  ASSERT_TRUE(ping.is_ok());
+  ASSERT_TRUE(ping.value().ok());
+
+  std::string peer;
+  for (int attempt = 0; attempt < 100 && peer.empty(); ++attempt) {
+    std::ifstream log(dir_.file("router-access.jsonl"));
+    std::string line;
+    while (std::getline(log, line)) {
+      const JsonValue record = parse_payload(line);
+      if (record.string_or("verb", "") == "PING") {
+        peer = record.string_or("peer", "");
+      }
+    }
+    if (peer.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  EXPECT_EQ(peer.rfind("tcp:127.0.0.1:", 0), 0U) << peer;
+
+  stop_router();
+}
+
 TEST_F(RouterFabricTest, KilledWorkerShardFailsOverAndSurvivorsStayWarm) {
   const auto params = tree_params(1e-5);
   // Distinct file pairs land on distinct ring shards; find one pair per
