@@ -89,7 +89,6 @@ repro::Result<cmp::CompareReport> direct_compare(
     element_options.exec = options.exec;
     element_options.collect_diffs = options.collect_diffs;
     element_options.max_diffs = options.max_diffs;
-    element_options.dynamic_grain = options.dynamic_grain;
 
     std::vector<cmp::ElementDiff> raw_diffs;
     while (io::ChunkSlice* slice = streamer.next()) {

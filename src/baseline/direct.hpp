@@ -30,9 +30,6 @@ struct DirectOptions {
   bool collect_diffs = false;
   std::size_t max_diffs = 1024;
   bool evict_cache = false;
-  /// Dynamic-scheduling grain (values per claim) for the element-wise
-  /// comparison; 0 = auto. See docs/PERF.md.
-  std::uint64_t dynamic_grain = 0;
 };
 
 /// Stream-compare the full data sections of two checkpoints. Returns a

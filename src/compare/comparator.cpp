@@ -78,7 +78,6 @@ struct FieldAccum {
 }  // namespace
 
 repro::Result<Side> open_file_side(const std::filesystem::path& checkpoint,
-                                   const CompareOptions& options,
                                    CompareReport& report) {
   PhaseTimer timer(report.timers, kPhaseSetup);
   REPRO_ASSIGN_OR_RETURN(const ckpt::CheckpointReader reader,
@@ -86,13 +85,21 @@ repro::Result<Side> open_file_side(const std::filesystem::path& checkpoint,
   Side side;
   side.info = reader.info();
   side.data_offset = reader.data_offset();
+  side.checkpoint = checkpoint;
+  return side;
+}
+
+repro::Status ensure_backend(Side& side, const CompareOptions& options,
+                             CompareReport& report) {
+  if (side.backend != nullptr) return repro::Status::ok();
+  PhaseTimer timer(report.timers, kPhaseSetup);
   REPRO_ASSIGN_OR_RETURN(
       side.backend,
-      io::open_backend_with_fallback(checkpoint, options.backend,
+      io::open_backend_with_fallback(side.checkpoint, options.backend,
                                      options.backend_options,
                                      options.backend_fallback,
                                      &report.io_fallbacks));
-  return side;
+  return repro::Status::ok();
 }
 
 repro::Status load_tree(Side& side, const std::filesystem::path& metadata_path,
@@ -125,10 +132,12 @@ repro::Status load_tree(Side& side, const std::filesystem::path& metadata_path,
                               metadata_path.string());
     }
     // Offline mode: derive the tree now. Charged to the read phase since it
-    // replaces the metadata read with a bulk read + hash.
+    // replaces the metadata read with a bulk read + hash; the backend open
+    // before it is setup.
+    REPRO_RETURN_IF_ERROR(ensure_backend(side, options, report));
     PhaseTimer timer(report.timers, kPhaseRead);
     REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
-                           read_data_section(side));
+                           read_data_section(side, options, report));
     REPRO_ASSIGN_OR_RETURN(merkle::MerkleTree built,
                            build_tree(side.info, data, options));
     const repro::Status saved = merkle::save_flat(built, metadata_path);
@@ -163,7 +172,9 @@ repro::Result<Side> resident_side(const ckpt::CheckpointWriter& writer,
   return side;
 }
 
-repro::Result<std::vector<std::uint8_t>> read_data_section(Side& side) {
+repro::Result<std::vector<std::uint8_t>> read_data_section(
+    Side& side, const CompareOptions& options, CompareReport& report) {
+  REPRO_RETURN_IF_ERROR(ensure_backend(side, options, report));
   std::vector<std::uint8_t> data(side.info.data_bytes());
   REPRO_RETURN_IF_ERROR(side.backend->read_at(side.data_offset, data));
   return data;
@@ -204,6 +215,8 @@ repro::Status compare_sides(Side& a, Side& b, const merkle::TreeView& tree_a,
   std::vector<FieldAccum> field_accum(
       options.collect_field_stats ? fields.size() : 0);
   if (!candidates.empty()) {
+    REPRO_RETURN_IF_ERROR(ensure_backend(a, options, report));
+    REPRO_RETURN_IF_ERROR(ensure_backend(b, options, report));
     telemetry::TraceSpan span("compare.stage2");
     span.arg("candidates", static_cast<std::uint64_t>(candidates.size()));
     PhaseTimer timer(report.timers, kPhaseCompareDirect);
@@ -226,7 +239,6 @@ repro::Status compare_sides(Side& a, Side& b, const merkle::TreeView& tree_a,
     element_options.collect_diffs = options.collect_diffs;
     element_options.max_diffs = options.max_diffs;
     element_options.collect_stats = options.collect_field_stats;
-    element_options.dynamic_grain = options.dynamic_grain;
 
     // Raw diffs carry region-relative value indices.
     std::vector<ElementDiff> raw_diffs;
@@ -408,15 +420,16 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
     }
   }
 
-  // --- setup: open checkpoint headers and stage-2 I/O backends.
+  // --- setup: open checkpoint headers (stage-2 backends open lazily, only
+  // when stage 1 leaves candidates).
   Side a;
   Side b;
   {
     telemetry::TraceSpan span("compare.setup");
-    REPRO_ASSIGN_OR_RETURN(
-        a, open_file_side(pair.run_a.checkpoint_path, options, report));
-    REPRO_ASSIGN_OR_RETURN(
-        b, open_file_side(pair.run_b.checkpoint_path, options, report));
+    REPRO_ASSIGN_OR_RETURN(a,
+                           open_file_side(pair.run_a.checkpoint_path, report));
+    REPRO_ASSIGN_OR_RETURN(b,
+                           open_file_side(pair.run_b.checkpoint_path, report));
     if (a.info.data_bytes() != b.info.data_bytes()) {
       return repro::failed_precondition(
           "checkpoints cover different data sizes");

@@ -67,10 +67,6 @@ struct CompareOptions {
   /// it; plain compare leaves it off.
   bool collect_field_stats = false;
 
-  /// Dynamic-scheduling grain (values per claim) for stage 2's element-wise
-  /// verification; 0 = auto. See docs/PERF.md.
-  std::uint64_t dynamic_grain = 0;
-
   /// Drop both files (and metadata) from the page cache first — the
   /// cold-cache protocol the paper enforces with `vmtouch -e`.
   bool evict_cache = false;

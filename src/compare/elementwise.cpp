@@ -27,6 +27,20 @@ void prune_to_smallest(std::vector<ElementDiff>* diffs,
   diffs->resize(max_diffs);
 }
 
+/// Runs block(lo, hi) over [0, count) in dynamically claimed blocks of at
+/// least kMinValuesPerClaim values; a single claim runs on the calling
+/// thread without touching the pool.
+template <typename Block>
+void for_claims(const par::Exec& exec, std::uint64_t count, Block&& block) {
+  const std::uint64_t grain =
+      std::max<std::uint64_t>(kMinValuesPerClaim, count / (8 * exec.ways()));
+  if (count <= grain) {
+    if (count > 0) block(std::uint64_t{0}, count);
+    return;
+  }
+  exec.for_blocks_dynamic(0, count, grain, std::forward<Block>(block));
+}
+
 template <typename Float>
 ElementwiseResult compare_typed(std::span<const std::uint8_t> run_a,
                                 std::span<const std::uint8_t> run_b,
@@ -55,21 +69,18 @@ ElementwiseResult compare_typed(std::span<const std::uint8_t> run_a,
   std::atomic<std::uint64_t> exceeding{0};
   const bool collecting = options.collect_diffs && diffs != nullptr;
   if (!collecting && !options.collect_stats) {
-    options.exec.for_blocks_dynamic(
-        0, count, options.dynamic_grain,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-          exceeding.fetch_add(
-              hash::count_diffs(values_a + lo, values_b + lo, hi - lo, eps),
-              std::memory_order_relaxed);
-        });
+    for_claims(options.exec, count, [&](std::uint64_t lo, std::uint64_t hi) {
+      exceeding.fetch_add(
+          hash::count_diffs(values_a + lo, values_b + lo, hi - lo, eps),
+          std::memory_order_relaxed);
+    });
     result.values_exceeding = exceeding.load();
     return result;
   }
 
   std::mutex merge_mu;
-  options.exec.for_blocks_dynamic(
-      0, count, options.dynamic_grain,
-      [&](std::uint64_t lo, std::uint64_t hi) {
+  for_claims(
+      options.exec, count, [&](std::uint64_t lo, std::uint64_t hi) {
         // Count first with the kernel; only blocks with hits (or a stats
         // request, which needs every value) pay the scalar loop — most
         // blocks of a mostly-reproducible pair are clean.

@@ -24,17 +24,25 @@ namespace repro::cmp {
 
 /// One run's contribution to a compare.
 struct Side {
-  ckpt::CheckpointInfo info;               ///< data-section layout
-  std::unique_ptr<io::IoBackend> backend;  ///< stage-2 byte source
+  ckpt::CheckpointInfo info;  ///< data-section layout
+  /// Stage-2 byte source. A file Side opens it from `checkpoint` only when
+  /// it first reads data (ensure_backend), so a pair without candidates opens
+  /// no stage-2 file.
+  std::unique_ptr<io::IoBackend> backend;
+  std::filesystem::path checkpoint;  ///< file Sides only
   std::uint64_t data_offset = 0;  ///< backend offset of data-section byte 0
   PinnedTree tree;                ///< stage-1 tree over the whole section
 };
 
-/// File Side without its tree (setup phase): the checkpoint header and a
-/// stage-2 backend, fallbacks counted into `report`.
+/// File Side without its tree or backend (setup phase): the checkpoint
+/// header only.
 repro::Result<Side> open_file_side(const std::filesystem::path& checkpoint,
-                                   const CompareOptions& options,
                                    CompareReport& report);
+
+/// Opens a file Side's stage-2 backend unless it already has one. Charged
+/// to the setup phase; fallbacks are counted into `report`.
+repro::Status ensure_backend(Side& side, const CompareOptions& options,
+                             CompareReport& report);
 
 /// Attaches a file Side's tree: the provider's when it returns a valid one,
 /// else the sidecar at `metadata_path`, else (build_metadata_if_missing) a
@@ -51,13 +59,16 @@ repro::Result<Side> resident_side(const ckpt::CheckpointWriter& writer,
                                   const CompareOptions& options,
                                   CompareReport& report);
 
-/// The whole data section of a Side, read through its backend.
-repro::Result<std::vector<std::uint8_t>> read_data_section(Side& side);
+/// The whole data section of a Side, read through its backend (opened
+/// first if need be).
+repro::Result<std::vector<std::uint8_t>> read_data_section(
+    Side& side, const CompareOptions& options, CompareReport& report);
 
 /// Stages 1 and 2 over the region of the data section that `tree_a` and
 /// `tree_b` cover, starting at byte `region_offset` (0 for whole-checkpoint
 /// trees, a field's data_offset for per-field trees). The trees must be
-/// built at options.error_bound. Fills the stage counts, flagged_chunks,
+/// built at options.error_bound. Opens the Sides' backends only when stage 1
+/// leaves candidates. Fills the stage counts, flagged_chunks,
 /// the diff sample (ascending value_index, at most max_diffs), per-field
 /// divergences, the stage-2 I/O counters and the compare_tree /
 /// compare_direct timers.

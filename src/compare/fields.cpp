@@ -31,7 +31,7 @@ merkle::TreeParams params_for(const FieldCompareOptions& options,
 
 repro::Result<merkle::MappedBundle> load_or_build_bundle(
     Side& side, const std::filesystem::path& bundle_path,
-    const FieldCompareOptions& options) {
+    const FieldCompareOptions& options, CompareReport& setup) {
   if (std::filesystem::exists(bundle_path)) {
     return merkle::MappedBundle::open(bundle_path);
   }
@@ -39,7 +39,7 @@ repro::Result<merkle::MappedBundle> load_or_build_bundle(
     return repro::not_found("no metadata bundle at " + bundle_path.string());
   }
   REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
-                         read_data_section(side));
+                         read_data_section(side, options.compare, setup));
   REPRO_ASSIGN_OR_RETURN(merkle::MappedBundle bundle,
                          build_field_bundle(side.info, data, options));
   const repro::Status saved =
@@ -86,11 +86,8 @@ repro::Result<FieldsReport> compare_fields(
   FieldsReport report;
 
   CompareReport setup;
-  REPRO_ASSIGN_OR_RETURN(Side a,
-                         open_file_side(checkpoint_a, options.compare, setup));
-  REPRO_ASSIGN_OR_RETURN(Side b,
-                         open_file_side(checkpoint_b, options.compare, setup));
-  report.io.fallbacks = setup.io_fallbacks;
+  REPRO_ASSIGN_OR_RETURN(Side a, open_file_side(checkpoint_a, setup));
+  REPRO_ASSIGN_OR_RETURN(Side b, open_file_side(checkpoint_b, setup));
   if (a.info.data_bytes() != b.info.data_bytes() ||
       a.info.fields.size() != b.info.fields.size()) {
     return repro::failed_precondition("checkpoint layouts differ");
@@ -107,10 +104,13 @@ repro::Result<FieldsReport> compare_fields(
 
   REPRO_ASSIGN_OR_RETURN(
       const merkle::MappedBundle bundle_a,
-      load_or_build_bundle(a, checkpoint_a.string() + ".rmrb", options));
+      load_or_build_bundle(a, checkpoint_a.string() + ".rmrb", options, setup));
   REPRO_ASSIGN_OR_RETURN(
       const merkle::MappedBundle bundle_b,
-      load_or_build_bundle(b, checkpoint_b.string() + ".rmrb", options));
+      load_or_build_bundle(b, checkpoint_b.string() + ".rmrb", options, setup));
+  // Backends opened for a bundle build; the field runs below count the
+  // fallbacks of backends they open themselves.
+  report.io.fallbacks = setup.io_fallbacks;
 
   // One engine run per field, over that field's region and trees. Fields
   // are laid out in ascending order and each run's sample is its smallest

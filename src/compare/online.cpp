@@ -13,7 +13,7 @@ repro::Result<CompareReport> OnlineComparator::check(
       catalog_.ref(reference_run_, info.iteration, info.rank);
 
   REPRO_ASSIGN_OR_RETURN(
-      Side ref, open_file_side(reference.checkpoint_path, options_, report));
+      Side ref, open_file_side(reference.checkpoint_path, report));
   if (ref.info.data_bytes() != writer.data_section().size()) {
     return repro::failed_precondition(
         "live checkpoint size differs from reference");

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,9 @@ struct UringMetrics {
   /// Live SQEs submitted but not yet completed; mirrored into traces by
   /// telemetry::ResourceSampler.
   telemetry::Gauge& inflight;
+  /// Rings created with io_uring_setup for backends; pooled reuse does not
+  /// count.
+  telemetry::Counter& ring_setups;
 
   static UringMetrics& get() {
     auto& registry = telemetry::MetricsRegistry::global();
@@ -53,6 +57,7 @@ struct UringMetrics {
         registry.histogram("io.batch.seconds",
                            telemetry::latency_buckets_seconds()),
         registry.gauge("io.uring.inflight"),
+        registry.counter("io.uring.ring_setups"),
     };
     return *metrics;
   }
@@ -95,7 +100,8 @@ void store_release(std::uint32_t* ptr, std::uint32_t value) {
   __atomic_store_n(ptr, value, __ATOMIC_RELEASE);
 }
 
-/// Owns the ring fd and the three ring mappings.
+/// Owns the ring fd and the three ring mappings, and counts the reads
+/// pushed onto it that have not been reaped yet.
 class Ring {
  public:
   Ring() = default;
@@ -111,7 +117,8 @@ class Ring {
       return repro::unsupported(std::string{"io_uring_setup failed: "} +
                                 std::strerror(errno));
     }
-
+    UringMetrics::get().ring_setups.increment();
+    requested_entries_ = entries;
     sq_entries_ = params.sq_entries;
     cq_entries_ = params.cq_entries;
 
@@ -169,7 +176,21 @@ class Ring {
     return repro::Status::ok();
   }
 
-  [[nodiscard]] unsigned sq_entries() const noexcept { return sq_entries_; }
+  /// The queue depth the ring was created for (its pool key).
+  [[nodiscard]] unsigned requested_entries() const noexcept {
+    return requested_entries_;
+  }
+
+  /// Reads pushed and not yet reaped: queued, in the kernel, or completed
+  /// with their CQE still in the completion queue.
+  [[nodiscard]] std::size_t inflight() const noexcept { return inflight_; }
+
+  /// Nothing queued, in flight or unreaped: the ring can serve another
+  /// backend without its state leaking into that backend's batches.
+  [[nodiscard]] bool quiescent() const noexcept {
+    return inflight_ == 0 && unsubmitted() == 0 &&
+           *cq_head_ == load_acquire(cq_tail_);
+  }
 
   /// Free SQE slots right now.
   [[nodiscard]] unsigned sq_space() const noexcept {
@@ -192,6 +213,17 @@ class Ring {
     sq_array_[index] = index;
     store_release(sq_tail_, tail + 1);
     ++pending_submit_;
+    ++inflight_;
+  }
+
+  /// Withdraws the SQEs the kernel has not consumed yet. Without SQPOLL the
+  /// kernel reads the submission queue only inside io_uring_enter, so
+  /// rewinding the tail to the published head between calls is safe.
+  void cancel_unsubmitted() noexcept {
+    const unsigned dropped = unsubmitted();
+    store_release(sq_tail_, load_acquire(sq_head_));
+    pending_submit_ = 0;
+    inflight_ -= std::min<std::size_t>(inflight_, dropped);
   }
 
   /// Submit queued SQEs and wait for at least `min_complete` completions.
@@ -237,6 +269,7 @@ class Ring {
     if (head == load_acquire(cq_tail_)) return false;
     *out = cqes_[head & cq_mask_];
     store_release(cq_head_, head + 1);
+    if (inflight_ > 0) --inflight_;
     return true;
   }
 
@@ -253,9 +286,11 @@ class Ring {
   }
 
   int ring_fd_ = -1;
+  unsigned requested_entries_ = 0;
   unsigned sq_entries_ = 0;
   unsigned cq_entries_ = 0;
   unsigned pending_submit_ = 0;
+  std::size_t inflight_ = 0;
 
   void* sq_ring_ = nullptr;
   std::size_t sq_ring_bytes_ = 0;
@@ -274,9 +309,57 @@ class Ring {
   io_uring_cqe* cqes_ = nullptr;
 };
 
+/// Most idle rings the pool keeps: two per compare worker of an 8-worker
+/// daemon. A ring is a few KiB of mappings plus an fd, so the cap only
+/// bounds a burst of concurrent backends; rings beyond it are closed.
+constexpr std::size_t kMaxIdleRings = 16;
+
+/// Idle rings shared by every UringBackend in the process, keyed by queue
+/// depth. A new ring costs io_uring_setup, two or three MAP_POPULATE mmaps
+/// and a kernel teardown on close, tens of microseconds that a small
+/// stage-2 batch cannot amortize. A backend takes a ring when it opens and
+/// hands it back when it is destroyed; only a quiescent ring is kept, so no
+/// stale SQE or CQE reaches the next owner. A ring is not tied to the
+/// thread that created it: any thread may submit on it, one at a time.
+class RingPool {
+ public:
+  static RingPool& global() {
+    static RingPool* pool = new RingPool;  // outlives static backends
+    return *pool;
+  }
+
+  repro::Result<std::unique_ptr<Ring>> take(unsigned entries) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = idle_.begin(); it != idle_.end(); ++it) {
+        if ((*it)->requested_entries() != entries) continue;
+        std::unique_ptr<Ring> ring = std::move(*it);
+        idle_.erase(it);
+        return ring;
+      }
+    }
+    auto ring = std::make_unique<Ring>();
+    REPRO_RETURN_IF_ERROR(ring->init(entries));
+    return ring;
+  }
+
+  /// Keeps `ring` for reuse if it is quiescent and the pool has room;
+  /// otherwise the ring is closed.
+  void give_back(std::unique_ptr<Ring> ring) {
+    if (!ring->quiescent()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (idle_.size() < kMaxIdleRings) idle_.push_back(std::move(ring));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Ring>> idle_;
+};
+
 class UringBackend final : public IoBackend {
  public:
   ~UringBackend() override {
+    if (ring_ != nullptr) RingPool::global().give_back(std::move(ring_));
     if (fd_ >= 0) ::close(fd_);
   }
 
@@ -293,7 +376,9 @@ class UringBackend final : public IoBackend {
     }
     size_ = static_cast<std::uint64_t>(end);
     path_ = path.string();
-    return ring_.init(std::max(1U, options.queue_depth));
+    REPRO_ASSIGN_OR_RETURN(
+        ring_, RingPool::global().take(std::max(1U, options.queue_depth)));
+    return repro::Status::ok();
   }
 
   [[nodiscard]] std::uint64_t size() const noexcept override { return size_; }
@@ -353,13 +438,12 @@ class UringBackend final : public IoBackend {
     const RetryPolicy& policy = options_.retry;
 
     std::size_t next_to_queue = 0;   // first request not yet queued
-    std::size_t outstanding = 0;     // queued but not finished
     std::size_t finished = 0;
     std::vector<std::size_t> retry;  // continuations + transient retries
 
     while (finished < requests.size()) {
       // Fill the submission queue: continuations first, then fresh requests.
-      while (ring_.sq_space() > 0 &&
+      while (ring_->sq_space() > 0 &&
              (!retry.empty() || next_to_queue < requests.size())) {
         std::size_t index;
         if (!retry.empty()) {
@@ -374,27 +458,25 @@ class UringBackend final : public IoBackend {
           ++finished;
           continue;
         }
-        ring_.push_read(fd_, request.dest.data() + done,
-                        clamp_uring_read_len(request.dest.size() - done),
-                        request.offset + done, index);
-        ++outstanding;
+        ring_->push_read(fd_, request.dest.data() + done,
+                         clamp_uring_read_len(request.dest.size() - done),
+                         request.offset + done, index);
       }
-      metrics.inflight.set(static_cast<double>(outstanding));
+      metrics.inflight.set(static_cast<double>(ring_->inflight()));
 
       // One syscall submits the whole batch and waits for >= 1 completion.
       repro::Status entered =
           consume_forced_submit_failure()
               ? repro::io_error("io_uring_enter: forced submit failure "
                                 "(testing hook)")
-              : ring_.enter(outstanding > 0 ? 1 : 0, policy.max_interrupts,
-                            &counters_);
+              : ring_->enter(ring_->inflight() > 0 ? 1 : 0,
+                             policy.max_interrupts, &counters_);
       if (!entered.is_ok()) {
-        return degrade_to_threads(std::move(entered), outstanding, requests);
+        return degrade_to_threads(std::move(entered), requests);
       }
 
       io_uring_cqe cqe;
-      while (ring_.pop_completion(&cqe)) {
-        --outstanding;
+      while (ring_->pop_completion(&cqe)) {
         const std::size_t index = static_cast<std::size_t>(cqe.user_data);
         if (cqe.res < 0) {
           const int err = -cqe.res;
@@ -402,8 +484,8 @@ class UringBackend final : public IoBackend {
             counters_.interrupts.fetch_add(1, std::memory_order_relaxed);
             metrics.interrupts.increment();
             if (++progress[index].interrupts > policy.max_interrupts) {
-              return repro::io_error("io_uring read interrupted repeatedly: " +
-                                     path_);
+              return fail_batch(repro::io_error(
+                  "io_uring read interrupted repeatedly: " + path_));
             }
             retry.push_back(index);
             continue;
@@ -417,10 +499,11 @@ class UringBackend final : public IoBackend {
             retry.push_back(index);
             continue;
           }
-          return repro::io_error_errno("io_uring read: " + path_, err);
+          return fail_batch(
+              repro::io_error_errno("io_uring read: " + path_, err));
         }
         if (cqe.res == 0) {
-          return repro::io_error("unexpected EOF in " + path_);
+          return fail_batch(repro::io_error("unexpected EOF in " + path_));
         }
         progress[index].done += static_cast<std::uint64_t>(cqe.res);
         if (progress[index].done < requests[index].dest.size()) {
@@ -432,34 +515,60 @@ class UringBackend final : public IoBackend {
           ++finished;
         }
       }
-      metrics.inflight.set(static_cast<double>(outstanding));
+      metrics.inflight.set(static_cast<double>(ring_->inflight()));
     }
     return repro::Status::ok();
   }
 
  private:
+  /// Ends a failed batch: reaps every read still in the kernel before
+  /// returning `cause`, so no late read lands in a buffer the caller frees
+  /// and no stale CQE reaches the ring's next batch or owner. SQEs the
+  /// kernel has not consumed are withdrawn rather than submitted. Unlike
+  /// degrade_to_threads, io_uring_enter still works here, so the wait
+  /// blocks in it. If the wait itself fails, the ring stays non-quiescent
+  /// and is closed, not pooled.
+  repro::Status fail_batch(repro::Status cause) {
+    ring_->cancel_unsubmitted();
+    io_uring_cqe cqe;
+    for (;;) {
+      while (ring_->pop_completion(&cqe)) {
+      }
+      if (ring_->inflight() == 0) break;
+      repro::Status waited =
+          ring_->enter(1, options_.retry.max_interrupts, &counters_);
+      if (!waited.is_ok()) {
+        return cause.with_context("could not reap in-flight reads (" +
+                                  waited.to_string() + ")");
+      }
+    }
+    UringMetrics::get().inflight.set(0);
+    return cause;
+  }
+
   /// Mid-batch submit failure: switch this backend to a thread-async
   /// fallback over the same file and re-issue the whole batch there (reads
   /// are idempotent). Only safe once no submitted SQE is still in flight —
   /// the kernel would otherwise write the buffers concurrently — so with
   /// reads outstanding we drain the completion queue first and give up if
   /// it does not empty.
-  repro::Status degrade_to_threads(repro::Status cause, std::size_t outstanding,
+  repro::Status degrade_to_threads(repro::Status cause,
                                    std::span<ReadRequest> requests) {
     // SQEs the kernel never consumed are not in flight: they stay inert in
     // the abandoned ring (a failed submit leaves them there), so only
     // submitted-but-uncompleted reads can touch our buffers.
-    std::size_t in_flight =
-        outstanding -
-        std::min<std::size_t>(outstanding, ring_.unsubmitted());
+    const unsigned inert = ring_->unsubmitted();
     io_uring_cqe cqe;
-    for (int spin = 0; in_flight > 0 && spin < 10000; ++spin) {
-      while (ring_.pop_completion(&cqe)) --in_flight;
-      if (in_flight > 0) std::this_thread::yield();
+    for (int spin = 0; ring_->inflight() > inert && spin < 10000; ++spin) {
+      while (ring_->pop_completion(&cqe)) {
+      }
+      if (ring_->inflight() > inert) std::this_thread::yield();
     }
-    if (in_flight > 0) {
+    if (ring_->inflight() > inert) {
       return cause.with_context("io_uring submit failed with reads in flight");
     }
+    // The inert SQEs make the ring unfit for another owner: close it.
+    ring_.reset();
     auto fallback = open_backend(path_, BackendKind::kThreadAsync, options_);
     if (!fallback.is_ok()) {
       return cause.with_context("io_uring submit failed and fallback open "
@@ -478,7 +587,7 @@ class UringBackend final : public IoBackend {
   std::uint64_t size_ = 0;
   std::string path_;
   BackendOptions options_;
-  Ring ring_;
+  std::unique_ptr<Ring> ring_;  ///< from RingPool; returned on destruction
   IoStatsCounters counters_;
   std::unique_ptr<IoBackend> fallback_;
 };

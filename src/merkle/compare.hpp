@@ -5,6 +5,7 @@
 // parallel lane has work; bench_ablation_start_level quantifies the choice.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,8 +21,16 @@ struct TreeCompareOptions {
   /// Level to seed the BFS from: -1 = auto (shallowest level with at least
   /// 4x the executor's parallel ways), 0 = root, layout.depth = leaves.
   int start_level = -1;
+  /// Runs BFS levels whose frontier reaches kParallelFrontierNodes.
   par::Exec exec = par::Exec::parallel();
 };
+
+/// Smallest BFS frontier compare_trees fans out onto the executor. A node
+/// compare is two 16-byte digest loads, a few nanoseconds, so 4 Ki nodes
+/// is ~10 µs of work: about what waking the pool and joining it costs.
+/// Smaller levels, i.e. every level of a mostly clean pair's descent, run
+/// on the calling thread.
+inline constexpr std::size_t kParallelFrontierNodes = 4096;
 
 struct TreeCompareStats {
   std::uint64_t nodes_visited = 0;      ///< hash comparisons performed

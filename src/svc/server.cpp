@@ -57,9 +57,11 @@ double us_since(std::chrono::steady_clock::time_point start) noexcept {
 /// Per-request phase breakdown (docs/OBSERVABILITY.md). The six phases
 /// partition a request's server-side wall time: queue wait, then the
 /// handler's time split into cache lookup / sidecar load / compute /
-/// serialize, then the synchronous tx flush. `compute_us` is derived as
-/// handler wall minus the attributed phases, so the sum never undercounts
-/// work the finer stopwatches did not claim (JSON parse, catalog walks).
+/// serialize, then tx flush from handler done to reply written (for
+/// dispatched verbs that includes the completion-queue hop to the loop
+/// thread). `compute_us` is derived as handler wall minus the attributed
+/// phases, so the sum never undercounts work the finer stopwatches did not
+/// claim (JSON parse, catalog walks).
 struct RequestTimings {
   double queue_us = 0;
   double cache_lookup_us = 0;
@@ -117,8 +119,8 @@ struct SvcMetrics {
       registry.describe("svc.request.phase.serialize_us",
                         "Microseconds spent building the response payload.");
       registry.describe("svc.request.phase.tx_flush_us",
-                        "Microseconds spent flushing the response to the "
-                        "socket on the loop thread.");
+                        "Microseconds from handler done to the response "
+                        "written to the socket by the loop thread.");
       return new SvcMetrics{
           registry.counter("svc.requests"),
           registry.counter("svc.errors"),
@@ -382,6 +384,9 @@ struct Server::Impl {
     std::string payload;
     RequestTimings timings;
     bool cache_hit = false;
+    /// When the handler finished: tx_flush_us runs from here, so the
+    /// completion-queue hop to the loop thread is attributed.
+    std::chrono::steady_clock::time_point handler_done;
   };
 
   ServerOptions options;
@@ -1050,6 +1055,7 @@ struct Server::Impl {
         SvcMetrics::get().errors.increment();
       }
       span.arg("status", wire_status_name(done.status));
+      done.handler_done = std::chrono::steady_clock::now();
       {
         std::lock_guard<std::mutex> lock(completion_mu);
         completions.push_back(std::move(done));
@@ -1142,9 +1148,8 @@ struct Server::Impl {
             done.payload.size() + frames * kFrameHeaderBytes;
         conn_it->second.streams.push_back(
             ChunkStream{ticket.request_id, std::move(done.payload), 0});
-        Stopwatch stream_clock;
         pump_streams(ticket.fd, conn_it->second);
-        done.timings.tx_flush_us = stream_clock.seconds() * 1e6;
+        done.timings.tx_flush_us = us_since(done.handler_done);
         SvcMetrics::get().record_phases(done.timings);
         emit_access(opcode_name(ticket.op), done.status, ticket.request_id,
                     ticket.conn_id, peer, ticket.bytes_in, stream_bytes_out,
@@ -1154,10 +1159,9 @@ struct Server::Impl {
       }
       const std::uint64_t bytes_out =
           kFrameHeaderBytes + done.payload.size();
-      Stopwatch tx_clock;
       send_response(ticket.fd, conn_it->second, done.status,
                     ticket.request_id, done.payload);
-      done.timings.tx_flush_us = tx_clock.seconds() * 1e6;
+      done.timings.tx_flush_us = us_since(done.handler_done);
       SvcMetrics::get().record_phases(done.timings);
       emit_access(opcode_name(ticket.op), done.status, ticket.request_id,
                   ticket.conn_id, peer, ticket.bytes_in, bytes_out,

@@ -7,9 +7,21 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace repro::cmp {
 namespace {
+
+/// Values in the inputs that must take the multi-claim schedule: more than
+/// two claims, so the Parallel instantiation runs the concurrent merge and
+/// prune on the pool instead of one claim on the calling thread.
+constexpr std::size_t kManyValues = 2 * kMinValuesPerClaim + 1000;
+
+std::uint64_t exec_regions() {
+  return telemetry::MetricsRegistry::global()
+      .counter("par.exec.regions")
+      .value();
+}
 
 std::span<const std::uint8_t> as_bytes(const std::vector<float>& values) {
   return {reinterpret_cast<const std::uint8_t*>(values.data()),
@@ -28,12 +40,22 @@ class ElementwiseBackends : public ::testing::TestWithParam<bool> {
     opts.exec = GetParam() ? par::Exec::parallel() : par::Exec::serial();
     return opts;
   }
+
+  /// Parallel must have fanned out onto the pool since `regions_before`;
+  /// Serial never touches it.
+  void expect_fan_out(std::uint64_t regions_before) const {
+    if (GetParam()) {
+      EXPECT_GT(exec_regions(), regions_before);
+    } else {
+      EXPECT_EQ(exec_regions(), regions_before);
+    }
+  }
 };
 
 TEST_P(ElementwiseBackends, CountsMatchScalarReference) {
   repro::Xoshiro256 rng(1);
-  std::vector<float> run_a(10000);
-  std::vector<float> run_b(10000);
+  std::vector<float> run_a(kManyValues);
+  std::vector<float> run_b(kManyValues);
   for (std::size_t i = 0; i < run_a.size(); ++i) {
     run_a[i] = rng.next_float();
     run_b[i] = run_a[i] + (rng.next_float() - 0.5f) * 1e-3f;
@@ -46,12 +68,14 @@ TEST_P(ElementwiseBackends, CountsMatchScalarReference) {
       ++expected;
     }
   }
+  const std::uint64_t regions = exec_regions();
   const auto result =
       compare_region(as_bytes(run_a), as_bytes(run_b),
                      merkle::ValueKind::kF32, eps, 0, options(), nullptr);
-  EXPECT_EQ(result.values_compared, 10000U);
+  EXPECT_EQ(result.values_compared, kManyValues);
   EXPECT_EQ(result.values_exceeding, expected);
   EXPECT_GT(expected, 0U);  // the workload actually had differences
+  expect_fan_out(regions);
 }
 
 TEST_P(ElementwiseBackends, IdenticalBuffersNoDiffs) {
@@ -63,13 +87,16 @@ TEST_P(ElementwiseBackends, IdenticalBuffersNoDiffs) {
 }
 
 TEST_P(ElementwiseBackends, CollectsDiffIndicesWithBase) {
-  std::vector<float> run_a(100, 1.0f);
-  std::vector<float> run_b(100, 1.0f);
+  // One diff in the first claim, one in the last.
+  const std::size_t late = kManyValues - 42;
+  std::vector<float> run_a(kManyValues, 1.0f);
+  std::vector<float> run_b(kManyValues, 1.0f);
   run_b[7] = 2.0f;
-  run_b[42] = 0.5f;
+  run_b[late] = 0.5f;
   ElementwiseOptions opts = options();
   opts.collect_diffs = true;
   std::vector<ElementDiff> diffs;
+  const std::uint64_t regions = exec_regions();
   const auto result =
       compare_region(as_bytes(run_a), as_bytes(run_b),
                      merkle::ValueKind::kF32, 1e-3, 5000, opts, &diffs);
@@ -81,21 +108,24 @@ TEST_P(ElementwiseBackends, CollectsDiffIndicesWithBase) {
             });
   EXPECT_EQ(diffs[0].value_index, 5007U);
   EXPECT_FLOAT_EQ(static_cast<float>(diffs[0].value_b), 2.0f);
-  EXPECT_EQ(diffs[1].value_index, 5042U);
+  EXPECT_EQ(diffs[1].value_index, 5000U + late);
+  expect_fan_out(regions);
 }
 
 TEST_P(ElementwiseBackends, DiffCollectionRespectsCap) {
-  std::vector<float> run_a(1000, 0.0f);
-  std::vector<float> run_b(1000, 1.0f);
+  std::vector<float> run_a(kManyValues, 0.0f);
+  std::vector<float> run_b(kManyValues, 1.0f);
   ElementwiseOptions opts = options();
   opts.collect_diffs = true;
   opts.max_diffs = 10;
   std::vector<ElementDiff> diffs;
+  const std::uint64_t regions = exec_regions();
   const auto result =
       compare_region(as_bytes(run_a), as_bytes(run_b),
                      merkle::ValueKind::kF32, 1e-3, 0, opts, &diffs);
-  EXPECT_EQ(result.values_exceeding, 1000U);  // count is exact
-  EXPECT_EQ(diffs.size(), 10U);               // records are capped
+  EXPECT_EQ(result.values_exceeding, kManyValues);  // count is exact
+  EXPECT_EQ(diffs.size(), 10U);                     // records are capped
+  expect_fan_out(regions);
 }
 
 TEST_P(ElementwiseBackends, NanSemanticsMatchQuantizer) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <vector>
 
@@ -278,6 +280,63 @@ TEST(UringFallback, MidBatchSubmitFailureDegradesToThreads) {
   std::vector<ReadRequest> more{{0, again}};
   ASSERT_TRUE(backend->read_batch(more).is_ok());
   EXPECT_EQ(0, std::memcmp(again.data(), content.data(), again.size()));
+}
+
+// A batch that fails part-way must reap its other reads before returning:
+// otherwise they land in buffers the caller has freed, and their stale
+// completions mark the wrong requests done for the ring's next owner.
+TEST(UringFallback, FailedBatchReapsReadsBeforeTheRingIsReused) {
+  if (!uring_available()) GTEST_SKIP() << "io_uring unavailable";
+  repro::TempDir dir{"io-test"};
+  const auto shrinking = dir.file("shrinking.bin");
+  const auto original = patterned_bytes(256 * 1024);
+  ASSERT_TRUE(repro::write_file(shrinking, original).is_ok());
+  {
+    auto result = open_backend(shrinking, BackendKind::kUring);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    const auto backend = std::move(result).value();
+    // The backend sized the file at open; its second half is now gone, so
+    // those reads hit EOF in the kernel while the first half's succeed.
+    std::filesystem::resize_file(shrinking, 128 * 1024);
+    std::vector<std::vector<std::uint8_t>> buffers(64);
+    std::vector<ReadRequest> requests;
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      buffers[i].resize(4096);
+      requests.push_back({i * 4096, buffers[i]});
+    }
+    EXPECT_FALSE(backend->read_batch(requests).is_ok());
+
+    // The same ring's next batch sees none of the failed batch's
+    // completions: the surviving half reads back intact.
+    const std::size_t surviving = buffers.size() / 2;
+    for (std::size_t i = 0; i < surviving; ++i) {
+      std::fill(buffers[i].begin(), buffers[i].end(), 0);
+    }
+    std::span<ReadRequest> first_half(requests.data(), surviving);
+    ASSERT_TRUE(backend->read_batch(first_half).is_ok());
+    for (std::size_t i = 0; i < surviving; ++i) {
+      EXPECT_EQ(0, std::memcmp(buffers[i].data(),
+                               original.data() + i * 4096, 4096))
+          << "request " << i;
+    }
+  }
+
+  const auto content = patterned_bytes(256 * 1024 + 77);
+  const auto intact = dir.file("intact.bin");
+  ASSERT_TRUE(repro::write_file(intact, content).is_ok());
+  for (int round = 0; round < 20; ++round) {
+    auto result = open_backend(intact, BackendKind::kUring);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    std::vector<std::uint8_t> buffer(content.size());
+    std::vector<ReadRequest> requests;
+    for (std::size_t offset = 0; offset < buffer.size(); offset += 4096) {
+      const std::size_t len =
+          std::min<std::size_t>(4096, buffer.size() - offset);
+      requests.push_back({offset, {buffer.data() + offset, len}});
+    }
+    ASSERT_TRUE(result.value()->read_batch(requests).is_ok()) << round;
+    ASSERT_EQ(buffer, content) << "round " << round;
+  }
 }
 
 TEST(Mmap, EmptyFileWorks) {
