@@ -144,10 +144,10 @@ repro::Result<CheckpointInfo> decode_header(
 
 repro::Status CheckpointWriter::write(
     const std::filesystem::path& path) const {
-  REPRO_ASSIGN_OR_RETURN(std::vector<std::uint8_t> file_bytes,
+  REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> header,
                          encode_header(info_));
-  file_bytes.insert(file_bytes.end(), data_.begin(), data_.end());
-  return repro::write_file(path, file_bytes)
+  // Header and data go out from where they lie: no whole-file copy.
+  return repro::write_file(path, {header, data_})
       .with_context("writing checkpoint " + path.string());
 }
 

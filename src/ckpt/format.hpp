@@ -72,7 +72,8 @@ class CheckpointWriter {
     return data_;
   }
 
-  /// Write the checkpoint file.
+  /// Write the checkpoint file: the encoded header, then the data section
+  /// straight from this writer's buffer (no whole-file copy).
   repro::Status write(const std::filesystem::path& path) const;
 
  private:

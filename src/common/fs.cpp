@@ -1,8 +1,10 @@
 #include "common/fs.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <mutex>
@@ -46,20 +48,42 @@ bool consume_forced_publish_failure(const std::filesystem::path& path) {
   return true;
 }
 
-Status write_all(int fd, const std::filesystem::path& path,
-                 std::span<const std::uint8_t> data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return io_error_errno("write: " + path.string(), errno);
+/// The one write loop of both publishes. Appends to `fd` in pieces that end
+/// on writeback-slice boundaries, and starts device writeback of each slice
+/// as soon as it is complete, while the rest is still being copied in.
+class SliceWriter {
+ public:
+  SliceWriter(int fd, const std::filesystem::path& path)
+      : fd_(fd), path_(path) {}
+
+  Status append(std::span<const std::uint8_t> data) {
+    while (!data.empty()) {
+      const std::size_t room =
+          kWritebackSliceBytes - written_ % kWritebackSliceBytes;
+      const ssize_t n =
+          ::write(fd_, data.data(), std::min(data.size(), room));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return io_error_errno("write: " + path_.string(), errno);
+      }
+      written_ += static_cast<std::uint64_t>(n);
+      data = data.subspan(static_cast<std::size_t>(n));
+      while (written_ - hinted_ >= kWritebackSliceBytes) {
+        // Only a hint: whatever it returns, the publish's fsync decides.
+        (void)::sync_file_range(fd_, static_cast<off_t>(hinted_),
+                                kWritebackSliceBytes, SYNC_FILE_RANGE_WRITE);
+        hinted_ += kWritebackSliceBytes;
+      }
     }
-    written += static_cast<std::size_t>(n);
+    return Status::ok();
   }
-  return Status::ok();
-}
+
+ private:
+  int fd_;
+  const std::filesystem::path& path_;
+  std::uint64_t written_ = 0;
+  std::uint64_t hinted_ = 0;  ///< end of the last slice handed to writeback
+};
 
 /// Same-directory temp name for publishing `path`. The prefix is filtered
 /// out by every catalog scan (they match on final suffixes like ".ckpt"),
@@ -71,16 +95,21 @@ std::filesystem::path temp_sibling(const std::filesystem::path& path) {
           "-" + std::to_string(counter.fetch_add(1)));
 }
 
-/// fsync the temp file, rename it over `path`, and fsync the parent
-/// directory so the rename itself survives a crash.
+/// fsync the temp file, unlink `stale` if given, rename the temp over
+/// `path`, and fsync the parent directory so the rename (and the unlink of a
+/// sibling) survives a crash.
 Status publish_temp(int temp_fd, const std::filesystem::path& temp,
-                    const std::filesystem::path& path) {
+                    const std::filesystem::path& path,
+                    const std::filesystem::path& stale = {}) {
   if (::fsync(temp_fd) != 0) {
     return io_error_errno("fsync: " + temp.string(), errno);
   }
   if (consume_forced_publish_failure(path)) {
     return io_error("publish aborted before rename (testing hook): " +
                     path.string());
+  }
+  if (!stale.empty() && ::unlink(stale.c_str()) != 0 && errno != ENOENT) {
+    return io_error_errno("unlink: " + stale.string(), errno);
   }
   if (::rename(temp.c_str(), path.c_str()) != 0) {
     return io_error_errno(
@@ -102,13 +131,18 @@ void unlink_quiet(const std::filesystem::path& temp) {
 }  // namespace
 
 Status write_file(const std::filesystem::path& path,
-                  std::span<const std::uint8_t> data) {
+                  std::initializer_list<std::span<const std::uint8_t>> parts) {
   const std::filesystem::path temp = temp_sibling(path);
   Fd fd(::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644));
   if (!fd.ok()) {
     return io_error_errno("open for write: " + temp.string(), errno);
   }
-  Status status = write_all(fd.get(), temp, data);
+  SliceWriter out(fd.get(), temp);
+  Status status;
+  for (const auto part : parts) {
+    status = out.append(part);
+    if (!status.is_ok()) break;
+  }
   if (status.is_ok()) status = publish_temp(fd.get(), temp, path);
   if (!status.is_ok() &&
       status.message().find("testing hook") == std::string::npos) {
@@ -117,8 +151,14 @@ Status write_file(const std::filesystem::path& path,
   return status;
 }
 
+Status write_file(const std::filesystem::path& path,
+                  std::span<const std::uint8_t> data) {
+  return write_file(path, {data});
+}
+
 Status copy_file_atomic(const std::filesystem::path& src,
-                        const std::filesystem::path& dst) {
+                        const std::filesystem::path& dst,
+                        const std::filesystem::path& stale) {
   Fd in(::open(src.c_str(), O_RDONLY));
   if (!in.ok()) {
     return io_error_errno("open for read: " + src.string(), errno);
@@ -128,6 +168,7 @@ Status copy_file_atomic(const std::filesystem::path& src,
   if (!out.ok()) {
     return io_error_errno("open for write: " + temp.string(), errno);
   }
+  SliceWriter writer(out.get(), temp);
   std::vector<std::uint8_t> buffer(1U << 20);
   while (true) {
     const ssize_t n = ::read(in.get(), buffer.data(), buffer.size());
@@ -137,16 +178,14 @@ Status copy_file_atomic(const std::filesystem::path& src,
       return io_error_errno("read: " + src.string(), errno);
     }
     if (n == 0) break;
-    Status status = write_all(
-        out.get(), temp,
-        std::span<const std::uint8_t>(buffer.data(),
-                                      static_cast<std::size_t>(n)));
+    Status status = writer.append(std::span<const std::uint8_t>(
+        buffer.data(), static_cast<std::size_t>(n)));
     if (!status.is_ok()) {
       unlink_quiet(temp);
       return status;
     }
   }
-  Status status = publish_temp(out.get(), temp, dst);
+  Status status = publish_temp(out.get(), temp, dst, stale);
   if (!status.is_ok() &&
       status.message().find("testing hook") == std::string::npos) {
     unlink_quiet(temp);
@@ -193,6 +232,24 @@ Result<std::uint64_t> file_size(const std::filesystem::path& path) {
   const auto size = std::filesystem::file_size(path, ec);
   if (ec) return io_error("stat: " + path.string() + ": " + ec.message());
   return static_cast<std::uint64_t>(size);
+}
+
+Result<FileIdentity> file_identity(const std::filesystem::path& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    if (errno == ENOENT || errno == ENOTDIR) {
+      return not_found("no file: " + path.string());
+    }
+    return io_error_errno("stat: " + path.string(), errno);
+  }
+  FileIdentity identity;
+  identity.device = static_cast<std::uint64_t>(st.st_dev);
+  identity.inode = static_cast<std::uint64_t>(st.st_ino);
+  identity.size = static_cast<std::uint64_t>(st.st_size);
+  identity.mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) *
+                          1'000'000'000 +
+                      st.st_mtim.tv_nsec;
+  return identity;
 }
 
 Status evict_page_cache(const std::filesystem::path& path) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,18 +14,36 @@
 
 namespace repro {
 
-/// Write the whole buffer to `path`, crash-consistently: the bytes go to a
-/// same-directory temp file which is fsync'd and atomically renamed over
-/// `path` (then the directory entry is made durable too). A reader — or a
-/// restart after a crash at any point — sees either the old content or the
-/// complete new content, never a torn prefix. Parent dir must exist.
+/// Write the concatenation of `parts` to `path`, crash-consistently: the
+/// bytes go to a same-directory temp file which is fsync'd and atomically
+/// renamed over `path` (then the directory entry is made durable too). A
+/// reader — or a restart after a crash at any point — sees either the old
+/// content or the complete new content, never a torn prefix. Each part is
+/// written from where it lies; nothing is concatenated in memory. Parent
+/// dir must exist.
+Status write_file(const std::filesystem::path& path,
+                  std::initializer_list<std::span<const std::uint8_t>> parts);
+
+/// write_file of one buffer.
 Status write_file(const std::filesystem::path& path,
                   std::span<const std::uint8_t> data);
 
 /// Copy `src` to `dst` with the same temp + fsync + rename publish protocol
 /// as write_file, streaming in bounded buffers (no whole-file allocation).
+/// A non-empty `stale` names a sibling of `dst` that must not outlive the
+/// old `dst` (its sidecar, say). It is unlinked after the copy is fsync'd
+/// and just before the rename, so the directory fsync that makes the rename
+/// durable makes the unlink durable too, and a copy that fails leaves it.
 Status copy_file_atomic(const std::filesystem::path& src,
-                        const std::filesystem::path& dst);
+                        const std::filesystem::path& dst,
+                        const std::filesystem::path& stale = {});
+
+/// Both publishes write through one loop that, after every
+/// kWritebackSliceBytes, asks the kernel to start writing that slice to the
+/// device (sync_file_range SYNC_FILE_RANGE_WRITE). The fsync before the
+/// rename then waits only for the tail. The hint is not a durability step:
+/// its result is ignored and the fsync stays.
+inline constexpr std::size_t kWritebackSliceBytes = std::size_t{4} << 20;
 
 /// Test-only: make the next `count` atomic publishes (write_file /
 /// copy_file_atomic) fail *after* the temp file is written but *before* the
@@ -40,6 +59,21 @@ Result<std::vector<std::uint8_t>> read_file(const std::filesystem::path& path);
 
 /// File size in bytes.
 Result<std::uint64_t> file_size(const std::filesystem::path& path);
+
+/// What a path names right now, from one stat: device, inode, size and
+/// modification time. A publish (temp + rename) gives the path a new inode,
+/// so a changed identity means the bytes behind the path were replaced.
+struct FileIdentity {
+  std::uint64_t device = 0;
+  std::uint64_t inode = 0;
+  std::uint64_t size = 0;
+  std::int64_t mtime_ns = 0;
+
+  bool operator==(const FileIdentity&) const = default;
+};
+
+/// One stat of `path`; NOT_FOUND when nothing is there.
+Result<FileIdentity> file_identity(const std::filesystem::path& path);
 
 /// Drop `path`'s pages from the OS page cache (POSIX_FADV_DONTNEED after
 /// fsync) so a following read is cold, mirroring the paper's `vmtouch -e`.

@@ -2,31 +2,17 @@
 
 #include <algorithm>
 
+#include "common/timer.hpp"
 #include "merkle/nodestore.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace repro::svc {
 
-SidecarKey sidecar_cache_key(const std::filesystem::path& metadata_path) {
-  SidecarKey out;
-  std::error_code ec;
-  const auto canonical = std::filesystem::weakly_canonical(metadata_path, ec);
-  out.key = ec ? metadata_path.string() : canonical.string();
-  // Differential delta-store sidecars ("iter<j>.rmrk", RMFD-only) hold no
-  // tree in place; the key carries the anchor + chain length so distinct
-  // resolutions never alias and hits skip the whole replay.
-  const std::string filename = metadata_path.filename().string();
-  if (filename.starts_with("iter") && filename.ends_with(".rmrk")) {
-    const auto probe = merkle::probe_delta_chain(metadata_path);
-    if (probe.is_ok() && probe.value().differential) {
-      out.differential = true;
-      out.key += "#a" + std::to_string(probe.value().anchor_iteration) + "+" +
-                 std::to_string(probe.value().chain_length);
-    }
-  }
-  return out;
-}
+namespace {
 
+/// Maps the sidecar in place, or — for a differential link — resolves the
+/// delta chain once and adopts the flat re-encoding (so cache hits skip the
+/// whole replay).
 repro::Result<merkle::MappedBundle> open_sidecar(
     const std::filesystem::path& metadata_path, bool differential) {
   if (!differential) return merkle::MappedBundle::open(metadata_path);
@@ -35,13 +21,12 @@ repro::Result<merkle::MappedBundle> open_sidecar(
   return merkle::MappedBundle::from_bytes(merkle::flat_serialize(tree));
 }
 
-namespace {
-
 /// Global counters shared by every cache instance (the daemon runs one, but
 /// tests construct more; counters are monotonic so summing is harmless).
 struct CacheMetrics {
   telemetry::Counter& hits;
   telemetry::Counter& misses;
+  telemetry::Counter& stale;
   telemetry::Counter& evictions;
 
   static CacheMetrics& get() {
@@ -49,6 +34,7 @@ struct CacheMetrics {
     static CacheMetrics* metrics = new CacheMetrics{
         registry.counter("svc.cache.hits"),
         registry.counter("svc.cache.misses"),
+        registry.counter("svc.cache.stale"),
         registry.counter("svc.cache.evictions"),
     };
     return *metrics;
@@ -82,12 +68,23 @@ std::uint64_t MetadataCache::charge_for(const std::string& key,
   return bundle->resident_bytes() + key.size() + kEntryOverhead;
 }
 
+void MetadataCache::erase_locked(
+    Shard& shard, std::unordered_map<std::string, Entry>::iterator it) {
+  shard.bytes -= it->second.charge;
+  shard.lru.erase(it->second.lru_pos);
+  shard.entries.erase(it);
+}
+
 BundlePtr MetadataCache::insert_locked(Shard& shard, const std::string& key,
+                                       const FileIdentity& identity,
                                        BundlePtr bundle) {
   if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-    // A racing loader won; adopt its entry (and refresh recency).
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    return it->second.bundle;
+    if (it->second.identity == identity) {
+      // A racing loader won; adopt its entry (and refresh recency).
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+      return it->second.bundle;
+    }
+    erase_locked(shard, it);  // loaded from another version of the file
   }
   const std::uint64_t charge = charge_for(key, bundle);
   if (charge > shard_budget_) {
@@ -95,17 +92,14 @@ BundlePtr MetadataCache::insert_locked(Shard& shard, const std::string& key,
     return bundle;  // served, not cached
   }
   while (shard.bytes + charge > shard_budget_ && !shard.lru.empty()) {
-    const std::string& victim = shard.lru.back();
-    auto vit = shard.entries.find(victim);
-    shard.bytes -= vit->second.charge;
-    shard.entries.erase(vit);
-    shard.lru.pop_back();
+    erase_locked(shard, shard.entries.find(shard.lru.back()));
     ++shard.evictions;
     CacheMetrics::get().evictions.increment();
   }
   shard.lru.push_front(key);
   Entry entry;
   entry.bundle = bundle;
+  entry.identity = identity;
   entry.charge = charge;
   entry.lru_pos = shard.lru.begin();
   shard.entries.emplace(key, std::move(entry));
@@ -117,16 +111,23 @@ BundlePtr MetadataCache::insert_locked(Shard& shard, const std::string& key,
 repro::Result<BundlePtr> MetadataCache::get_or_load(
     const std::string& key,
     const std::function<repro::Result<merkle::MappedBundle>()>& loader,
-    bool* hit) {
+    bool* hit, const FileIdentity& identity) {
   Shard& shard = *shards_[shard_for(key)];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      ++shard.hits;
-      CacheMetrics::get().hits.increment();
-      if (hit != nullptr) *hit = true;
-      return it->second.bundle;
+      if (it->second.identity == identity) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+        ++shard.hits;
+        CacheMetrics::get().hits.increment();
+        if (hit != nullptr) *hit = true;
+        return it->second.bundle;
+      }
+      // The file was republished since this entry was loaded: the cached
+      // tree describes bytes that are gone.
+      erase_locked(shard, it);
+      ++shard.stale;
+      CacheMetrics::get().stale.increment();
     }
     ++shard.misses;
     CacheMetrics::get().misses.increment();
@@ -140,7 +141,7 @@ repro::Result<BundlePtr> MetadataCache::get_or_load(
       std::make_shared<const merkle::MappedBundle>(std::move(loaded));
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  return insert_locked(shard, key, std::move(bundle));
+  return insert_locked(shard, key, identity, std::move(bundle));
 }
 
 BundlePtr MetadataCache::lookup(const std::string& key) {
@@ -173,6 +174,7 @@ CacheStats MetadataCache::stats() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     total.hits += shard->hits;
     total.misses += shard->misses;
+    total.stale += shard->stale;
     total.evictions += shard->evictions;
     total.insertions += shard->insertions;
     total.bypasses += shard->bypasses;
@@ -187,6 +189,43 @@ std::vector<std::string> MetadataCache::shard_keys_mru_first(
   const Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
   return {shard.lru.begin(), shard.lru.end()};
+}
+
+repro::Result<BundlePtr> pin_sidecar(
+    MetadataCache& cache, const std::filesystem::path& metadata_path,
+    bool* hit, double* load_us) {
+  const auto identity = file_identity(metadata_path);
+  if (!identity.is_ok()) {
+    if (identity.status().code() == repro::StatusCode::kNotFound) {
+      return BundlePtr{};
+    }
+    return identity.status();
+  }
+  std::error_code ec;
+  const auto canonical = std::filesystem::weakly_canonical(metadata_path, ec);
+  std::string key = ec ? metadata_path.string() : canonical.string();
+  // Differential delta-store sidecars ("iter<j>.rmrk", RMFD-only) hold no
+  // tree in place; the key carries the anchor + chain length so distinct
+  // resolutions never alias and hits skip the whole replay.
+  bool differential = false;
+  const std::string filename = metadata_path.filename().string();
+  if (filename.starts_with("iter") && filename.ends_with(".rmrk")) {
+    const auto probe = merkle::probe_delta_chain(metadata_path);
+    if (probe.is_ok() && probe.value().differential) {
+      differential = true;
+      key += "#a" + std::to_string(probe.value().anchor_iteration) + "+" +
+             std::to_string(probe.value().chain_length);
+    }
+  }
+  return cache.get_or_load(
+      key,
+      [&] {
+        Stopwatch clock;
+        auto bundle = open_sidecar(metadata_path, differential);
+        if (load_us != nullptr) *load_us = clock.seconds() * 1e6;
+        return bundle;
+      },
+      hit, identity.value());
 }
 
 }  // namespace repro::svc

@@ -9,7 +9,10 @@
 // work, page-cache-backed, shareable read-only across processes), or a heap
 // blob for resolved differential chains. An entry stays alive ("is pinned")
 // for as long as any in-flight compare holds it, even if the shard evicts it
-// concurrently.
+// concurrently. Each entry also records its file's identity (device, inode,
+// size, mtime); a lookup whose stat disagrees is a miss that reloads, so a
+// sidecar republished in place (temp + rename) is never answered from the
+// tree of the bytes it replaced.
 //
 // Concurrency: the key space is hash-partitioned over `num_shards`
 // independent shards, each with its own mutex, LRU list, and slice of the
@@ -29,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fs.hpp"
 #include "common/status.hpp"
 #include "merkle/flat.hpp"
 
@@ -36,30 +40,12 @@ namespace repro::svc {
 
 using BundlePtr = std::shared_ptr<const merkle::MappedBundle>;
 
-/// Canonical cache identity of one sidecar file. The key is the weakly
-/// canonical path — one (run, iteration, rank) tree regardless of how a
-/// request named it — and, for differential delta-store sidecars
-/// ("iter<j>.rmrk" carrying only an RMFD section), a "#a<anchor>+<len>"
-/// suffix describing the resolved chain so distinct resolutions never
-/// alias. Shared by every service-side load path (COMPARE pins, LOAD_RUN
-/// prewarm, WATCH reference lookups).
-struct SidecarKey {
-  std::string key;
-  bool differential = false;  ///< true when the sidecar is an RMFD chain link
-};
-
-[[nodiscard]] SidecarKey sidecar_cache_key(
-    const std::filesystem::path& metadata_path);
-
-/// The matching loader for MetadataCache::get_or_load: maps the sidecar in
-/// place, or — for a differential link — resolves the delta chain once and
-/// adopts the flat re-encoding (so cache hits skip the whole replay).
-[[nodiscard]] repro::Result<merkle::MappedBundle> open_sidecar(
-    const std::filesystem::path& metadata_path, bool differential);
-
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// Misses on an entry whose file identity changed (republished in place);
+  /// also counted in `misses`.
+  std::uint64_t stale = 0;
   std::uint64_t evictions = 0;
   std::uint64_t insertions = 0;
   /// Entries too large for their shard's budget slice: served to the caller
@@ -80,12 +66,14 @@ class MetadataCache {
   MetadataCache& operator=(const MetadataCache&) = delete;
 
   /// Returns the cached sidecar for `key`, or runs `loader` and caches the
-  /// result. `*hit` (optional) reports whether the lookup was served from
-  /// cache. On loader failure nothing is cached and the error propagates.
+  /// result. An entry cached under another `identity` is stale: the lookup
+  /// is a miss and the reload replaces it. `*hit` (optional) reports
+  /// whether the lookup was served from cache. On loader failure nothing is
+  /// cached and the error propagates.
   repro::Result<BundlePtr> get_or_load(
       const std::string& key,
       const std::function<repro::Result<merkle::MappedBundle>()>& loader,
-      bool* hit = nullptr);
+      bool* hit = nullptr, const FileIdentity& identity = {});
 
   /// Peek without loading: nullptr on miss. Counts as a hit/miss.
   [[nodiscard]] BundlePtr lookup(const std::string& key);
@@ -110,6 +98,7 @@ class MetadataCache {
  private:
   struct Entry {
     BundlePtr bundle;
+    FileIdentity identity;
     std::uint64_t charge = 0;
     /// Position in Shard::lru (front = most recent).
     std::list<std::string>::iterator lru_pos;
@@ -123,6 +112,7 @@ class MetadataCache {
     // Per-shard tallies; stats() sums them under the shard locks.
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    std::uint64_t stale = 0;
     std::uint64_t evictions = 0;
     std::uint64_t insertions = 0;
     std::uint64_t bypasses = 0;
@@ -133,13 +123,30 @@ class MetadataCache {
   static std::uint64_t charge_for(const std::string& key, const BundlePtr& b);
 
   /// Insert under the shard lock, evicting LRU entries to make room.
-  /// Returns the resident bundle (the racing winner's, if someone beat us).
+  /// Returns the resident bundle (the racing winner's, if someone beat us
+  /// with the same identity; one of another identity is replaced).
   BundlePtr insert_locked(Shard& shard, const std::string& key,
-                          BundlePtr bundle);
+                          const FileIdentity& identity, BundlePtr bundle);
+
+  /// Drops one entry under the shard lock.
+  static void erase_locked(
+      Shard& shard, std::unordered_map<std::string, Entry>::iterator it);
 
   std::uint64_t budget_ = 0;
   std::uint64_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+/// The one sidecar lookup every service path shares (COMPARE/TIMELINE pins,
+/// LOAD_RUN prewarm, WATCH references): one stat for the file's identity,
+/// then `cache`, loading the sidecar on a miss. The key is the weakly
+/// canonical path — one (run, iteration, rank) tree regardless of how a
+/// request named it — plus, for a differential delta-store sidecar
+/// ("iter<j>.rmrk" carrying only an RMFD section), its resolved chain, which
+/// is loaded once and cached flat. A null bundle when there is no sidecar.
+/// `*load_us` (optional) receives the time spent loading on a miss.
+[[nodiscard]] repro::Result<BundlePtr> pin_sidecar(
+    MetadataCache& cache, const std::filesystem::path& metadata_path,
+    bool* hit = nullptr, double* load_us = nullptr);
 
 }  // namespace repro::svc

@@ -394,7 +394,9 @@ WatchReply Monitor::compare_iteration(Session& session,
   bool first = true;
   append_kv(out, "iteration", iteration, &first);
 
-  if (!ref.has_metadata()) {
+  bool hit = false;
+  auto bundle = pin_sidecar(*cache_, ref.metadata_path, &hit);
+  if (bundle.is_ok() && bundle.value() == nullptr) {
     // The reference run has not captured this iteration (yet): record the
     // gap — a divergence here is only detectable later — and stay open.
     ++session.skipped;
@@ -407,12 +409,6 @@ WatchReply Monitor::compare_iteration(Session& session,
     return {WireStatus::kOk, std::move(out)};
   }
 
-  const SidecarKey sidecar = sidecar_cache_key(ref.metadata_path);
-  bool hit = false;
-  auto bundle = cache_->get_or_load(
-      sidecar.key,
-      [&] { return open_sidecar(ref.metadata_path, sidecar.differential); },
-      &hit);
   if (!bundle.is_ok()) {
     return {WireStatus::kInternal,
             error_payload(bundle.status().to_string())};

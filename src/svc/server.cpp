@@ -1242,36 +1242,28 @@ struct Server::Impl {
   /// lookup to `hits`. Sidecar-less checkpoints fall back to the
   /// comparator's build-on-the-fly path and are cached on the next query.
   /// `timings` accumulates the cache-lookup / sidecar-load split: loader
-  /// time on a miss counts as sidecar load, the remainder of get_or_load
-  /// as cache lookup.
+  /// time on a miss counts as sidecar load; the identity stat and the rest
+  /// of the lookup count as cache lookup.
   cmp::MetadataProvider cache_provider(std::vector<bool>& hits,
                                        RequestTimings& timings) {
     return [this, &hits, &timings](const std::filesystem::path& metadata_path)
                -> repro::Result<cmp::PinnedTree> {
-      if (!std::filesystem::exists(metadata_path)) {
-        hits.push_back(false);
-        return cmp::PinnedTree{};
-      }
-      const SidecarKey sidecar = sidecar_cache_key(metadata_path);
       // The bundle shared_ptr doubles as the pin: the mapped bytes stay
       // valid for the duration of the compare even if the shard evicts
       // this entry concurrently. Warm hits hand back the resident mapping
       // (or the already-resolved chain) with zero parse work.
-      double load_us = 0;
-      auto load = [&]() -> repro::Result<merkle::MappedBundle> {
-        Stopwatch load_clock;
-        auto bundle = open_sidecar(metadata_path, sidecar.differential);
-        load_us = load_clock.seconds() * 1e6;
-        return bundle;
-      };
       bool hit = false;
+      double load_us = 0;
       Stopwatch lookup_clock;
-      REPRO_ASSIGN_OR_RETURN(BundlePtr bundle,
-                             cache.get_or_load(sidecar.key, load, &hit));
-      hits.push_back(hit);
+      auto pinned = pin_sidecar(cache, metadata_path, &hit, &load_us);
       timings.cache_lookup_us +=
           std::max(0.0, lookup_clock.seconds() * 1e6 - load_us);
       timings.sidecar_load_us += load_us;
+      hits.push_back(hit);
+      REPRO_ASSIGN_OR_RETURN(BundlePtr bundle, std::move(pinned));
+      if (bundle == nullptr) {
+        return cmp::PinnedTree{};  // no sidecar: the comparator builds one
+      }
       REPRO_ASSIGN_OR_RETURN(const merkle::TreeView view,
                              bundle->sole_tree());
       return cmp::PinnedTree{view, std::move(bundle)};
@@ -1439,23 +1431,10 @@ struct Server::Impl {
     std::uint64_t missing = 0;
     std::uint64_t bytes = 0;
     for (const auto& ref : refs.value()) {
-      if (!ref.has_metadata()) {
-        ++missing;
-        continue;
-      }
       bool hit = false;
-      const SidecarKey sidecar = sidecar_cache_key(ref.metadata_path);
       double load_us = 0;
       Stopwatch lookup_clock;
-      auto bundle = cache.get_or_load(
-          sidecar.key,
-          [&] {
-            Stopwatch load_clock;
-            auto opened = open_sidecar(ref.metadata_path, sidecar.differential);
-            load_us = load_clock.seconds() * 1e6;
-            return opened;
-          },
-          &hit);
+      auto bundle = pin_sidecar(cache, ref.metadata_path, &hit, &load_us);
       done->timings.cache_lookup_us +=
           std::max(0.0, lookup_clock.seconds() * 1e6 - load_us);
       done->timings.sidecar_load_us += load_us;
@@ -1463,6 +1442,10 @@ struct Server::Impl {
         done->status = wire_status_for(bundle.status());
         done->payload = error_payload(bundle.status().to_string());
         return;
+      }
+      if (bundle.value() == nullptr) {
+        ++missing;
+        continue;
       }
       bytes += bundle.value()->resident_bytes();
       hit ? ++already : ++loaded;
@@ -1486,6 +1469,7 @@ struct Server::Impl {
     bool first = true;
     append_kv(out, "hits", cs.hits, &first);
     append_kv(out, "misses", cs.misses, &first);
+    append_kv(out, "stale", cs.stale, &first);
     append_kv(out, "evictions", cs.evictions, &first);
     append_kv(out, "insertions", cs.insertions, &first);
     append_kv(out, "bypasses", cs.bypasses, &first);

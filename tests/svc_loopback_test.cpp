@@ -21,8 +21,10 @@
 #include "compare/comparator.hpp"
 #include "sim/workload.hpp"
 #include "svc/client.hpp"
+#include "svc/monitor.hpp"
 #include "svc/server.hpp"
 #include "telemetry/json_parse.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace repro::svc {
 namespace {
@@ -356,6 +358,10 @@ TEST_F(LoopbackTest, UnreadRepliesHitTxCapAndShedTheConnection) {
   // replies, never reading one. Once the kernel buffer fills, unsent
   // replies accumulate in the server's tx until the cap sheds us.
   constexpr int kPings = 16384;  // ~570 KB of replies
+  // The daemon counts a shed connection as an error.
+  const telemetry::Counter& shed =
+      telemetry::MetricsRegistry::global().counter("svc.errors");
+  const std::uint64_t shed0 = shed.value();
   std::vector<std::uint8_t> burst;
   for (int i = 0; i < kPings; ++i) {
     append_request(burst, Opcode::kPing, static_cast<std::uint64_t>(i + 1),
@@ -367,6 +373,15 @@ TEST_F(LoopbackTest, UnreadRepliesHitTxCapAndShedTheConnection) {
                              burst.size() - off, MSG_NOSIGNAL);
     if (n <= 0) break;  // server may already have shed us mid-send
     off += static_cast<std::size_t>(n);
+  }
+
+  // Read nothing until the daemon has shed us. Otherwise, if it read the
+  // whole burst before answering any of it, draining here would race its
+  // replies and could keep its tx under the cap.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{20};
+  while (shed.value() == shed0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
 
   // Now drain: some replies, then EOF from the shed — never all kPings.
@@ -386,6 +401,129 @@ TEST_F(LoopbackTest, UnreadRepliesHitTxCapAndShedTheConnection) {
   auto ping = healthy.value().call(Opcode::kPing, "");
   ASSERT_TRUE(ping.is_ok());
   EXPECT_TRUE(ping.value().ok());
+
+  stop_server();
+}
+
+TEST_F(LoopbackTest, InPlaceRepublishIsAMissForCompareTimelineAndWatch) {
+  // A cached tree must describe the bytes it is compared against. Run B
+  // starts identical to run A and every daemon path caches B's trees; then
+  // B's iteration 20 is republished in place (temp + rename, as a capture
+  // flush publishes) with diverged values. COMPARE, TIMELINE and WATCH must
+  // then answer what the one-shot paths answer, not the cached verdict.
+  const auto params = tree_params(1e-5);
+  ckpt::HistoryCatalog catalog{dir_.path()};
+  const auto phi = sim::generate_field(4000, 7);
+  const auto x10 = sim::generate_field(4000, 10);
+  const auto x20 = sim::generate_field(4000, 20);
+  for (const char* run : {"run-a", "run-b"}) {
+    write_history_checkpoint(catalog, run, 10, x10, phi, params);
+    write_history_checkpoint(catalog, run, 20, x20, phi, params);
+  }
+  auto x20_diverged = x20;
+  sim::apply_divergence(x20_diverged, {.region_fraction = 0.05,
+                                       .region_values = 80,
+                                       .magnitude = 1e-3,
+                                       .seed = 5});
+
+  // The live side of WATCH pushes run A's iteration-20 tree against
+  // reference run B.
+  ckpt::CheckpointWriter live_writer("test", "live", 20, 0);
+  ASSERT_TRUE(live_writer.add_field_f32("X", x20).is_ok());
+  ASSERT_TRUE(live_writer.add_field_f32("PHI", phi).is_ok());
+  const auto live = merkle::TreeBuilder(params, par::Exec::serial())
+                        .build(live_writer.data_section());
+  ASSERT_TRUE(live.is_ok());
+  WatchPushFrame push;
+  push.iteration = 20;
+  const merkle::TreeView live_view(live.value());
+  for (std::uint64_t i = 0; i < live_view.layout().num_nodes(); ++i) {
+    push.entries.push_back({i, live_view.node(i)});
+  }
+
+  const std::string root = dir_.path().string();
+  const std::string pair = "{\"root\":\"" + root +
+                           "\",\"run_a\":\"run-a\",\"run_b\":\"run-b\"";
+  const std::string compare_json = pair + ",\"iteration\":20,\"rank\":0}";
+  const std::string timeline_json = pair + "}";
+  const std::string watch_json =
+      "{\"root\":\"" + root +
+      "\",\"run\":\"live\",\"reference\":\"run-b\",\"rank\":0," +
+      "\"data_bytes\":" + std::to_string(live_writer.data_section().size()) +
+      ",\"eps\":1e-5,\"chunk_bytes\":1024}";
+
+  start_server(base_options());
+  auto client = connect_client();
+  ASSERT_TRUE(client.is_ok());
+  const auto call = [&](Opcode op, const std::string& payload) {
+    auto reply = client.value().call(op, payload);
+    EXPECT_TRUE(reply.is_ok() && reply.value().ok())
+        << (reply.is_ok() ? reply.value().payload
+                          : reply.status().to_string());
+    return parse_payload(reply.is_ok() ? reply.value().payload : "{}");
+  };
+  // One WATCH session per verdict: a session never takes an iteration twice.
+  const auto watch = [&] {
+    auto watcher = connect_client();
+    EXPECT_TRUE(watcher.is_ok());
+    if (!watcher.is_ok()) return JsonValue{};
+    EXPECT_TRUE(watcher.value().watch_open(watch_json).is_ok());
+    auto reply = watcher.value().watch_push(push);
+    EXPECT_TRUE(reply.is_ok() && reply.value().ok());
+    return parse_payload(reply.is_ok() ? reply.value().payload : "{}");
+  };
+
+  // Identical runs; afterwards every tree of both runs is cached.
+  EXPECT_EQ(call(Opcode::kCompare, compare_json).string_or("verdict", ""),
+            "within-bound");
+  const JsonValue clean_timeline = call(Opcode::kTimeline, timeline_json);
+  ASSERT_NE(clean_timeline.find("first_divergent_iteration"), nullptr);
+  EXPECT_EQ(clean_timeline.find("first_divergent_iteration")->kind,
+            JsonValue::Kind::kNull);
+  EXPECT_EQ(watch().string_or("verdict", ""), "clean");
+
+  write_history_checkpoint(catalog, "run-b", 20, x20_diverged, phi, params);
+
+  // The one-shot verdicts on the republished files.
+  cmp::CompareOptions one_shot;
+  one_shot.error_bound = 1e-5;
+  one_shot.tree = params;
+  one_shot.backend = io::BackendKind::kPread;
+  const auto pair_report = cmp::compare_pair(
+      {catalog.ref("run-a", 20, 0), catalog.ref("run-b", 20, 0)}, one_shot);
+  ASSERT_TRUE(pair_report.is_ok()) << pair_report.status().to_string();
+  ASSERT_GT(pair_report.value().values_exceeding, 0U);
+  cmp::HistoryOptions history_options;
+  history_options.pair_options = one_shot;
+  const auto history =
+      cmp::compare_histories(catalog, "run-a", "run-b", history_options);
+  ASSERT_TRUE(history.is_ok()) << history.status().to_string();
+  ASSERT_EQ(history.value().first_divergent_iteration, 20U);
+  const auto reference =
+      merkle::MappedBundle::open(catalog.ref("run-b", 20, 0).metadata_path);
+  ASSERT_TRUE(reference.is_ok());
+  const auto candidates =
+      merkle::compare_trees(reference.value().sole_tree().value(), live_view);
+  ASSERT_TRUE(candidates.is_ok());
+  ASSERT_FALSE(candidates.value().empty());
+
+  const JsonValue compared = call(Opcode::kCompare, compare_json);
+  EXPECT_EQ(compared.string_or("verdict", ""), "divergent");
+  EXPECT_EQ(compared.u64_or("exit_code", 99), 1U);
+  EXPECT_EQ(compared.u64_or("values_exceeding", 0),
+            pair_report.value().values_exceeding);
+  EXPECT_EQ(call(Opcode::kTimeline, timeline_json)
+                .u64_or("first_divergent_iteration", 0),
+            20U);
+  const JsonValue watched = watch();
+  EXPECT_EQ(watched.string_or("verdict", ""), "divergent");
+  EXPECT_EQ(watched.u64_or("chunks_flagged", 0), candidates.value().size());
+
+  // Exactly one stale entry: run B's iteration-20 sidecar, reloaded by the
+  // first COMPARE and then shared by TIMELINE and WATCH.
+  const JsonValue stats = call(Opcode::kStats, "");
+  ASSERT_NE(stats.find("cache"), nullptr);
+  EXPECT_EQ(stats.find("cache")->u64_or("stale", 0), 1U);
 
   stop_server();
 }
