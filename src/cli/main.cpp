@@ -19,8 +19,6 @@
 #include <string>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -1104,38 +1102,28 @@ int cmd_serve(const Args& args) {
   status = server.start();
   if (!status.is_ok()) return fail(status);
 
+  // Parsed before either sidecar thread starts: returning with a joinable
+  // std::thread would abort the process.
+  const std::string metrics_out = args.get("metrics-out", "");
+  auto flush_ms = args.get_u64("metrics-flush-ms", 10000);
+  if (!flush_ms.is_ok()) return fail(flush_ms.status());
+
   // Scrape endpoint: a loopback TCP listener that writes the Prometheus
   // text exposition and closes — no HTTP layer, so `nc 127.0.0.1 PORT`
   // (or any raw-TCP scraper) gets the page. Runs on its own thread; the
   // daemon's event loop never blocks on a slow scraper.
   std::atomic<bool> sidecars_stop{false};
-  int metrics_fd = -1;
+  svc::Listener metrics_listener;
   std::thread metrics_thread;
   if (args.has("metrics-port")) {
     auto metrics_port = args.get_u64("metrics-port", 0);
     if (!metrics_port.is_ok()) return fail(metrics_port.status());
-    metrics_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (metrics_fd < 0) {
-      return fail(repro::internal_error("metrics socket failed"));
-    }
-    const int one = 1;
-    ::setsockopt(metrics_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(metrics_port.value()));
-    if (::bind(metrics_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(metrics_fd, 16) != 0) {
-      ::close(metrics_fd);
-      return fail(repro::internal_error("metrics bind/listen failed on port " +
-                                        std::to_string(metrics_port.value())));
-    }
-    socklen_t addr_len = sizeof(addr);
-    ::getsockname(metrics_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+    status = metrics_listener.open(
+        {}, "127.0.0.1", static_cast<std::uint16_t>(metrics_port.value()));
+    if (!status.is_ok()) return fail(status);
     std::printf("metrics exposition on tcp:127.0.0.1:%u\n",
-                ntohs(addr.sin_port));
-    metrics_thread = std::thread([fd = metrics_fd, &sidecars_stop] {
+                metrics_listener.port());
+    metrics_thread = std::thread([fd = metrics_listener.fd(), &sidecars_stop] {
       while (!sidecars_stop.load(std::memory_order_relaxed)) {
         pollfd pfd{fd, POLLIN, 0};
         if (::poll(&pfd, 1, 200) <= 0) continue;
@@ -1156,9 +1144,6 @@ int cmd_serve(const Args& args) {
   // after serve() returns, which for a daemon is "never, until shutdown" —
   // a monitoring agent tailing the file would see nothing. Re-publish the
   // snapshot on a timer so the file tracks the live registry.
-  const std::string metrics_out = args.get("metrics-out", "");
-  auto flush_ms = args.get_u64("metrics-flush-ms", 10000);
-  if (!flush_ms.is_ok()) return fail(flush_ms.status());
   std::thread flush_thread;
   if (!metrics_out.empty() && flush_ms.value() > 0) {
     flush_thread = std::thread([&sidecars_stop, &server, metrics_out,
@@ -1184,7 +1169,6 @@ int cmd_serve(const Args& args) {
   sidecars_stop.store(true, std::memory_order_relaxed);
   if (metrics_thread.joinable()) metrics_thread.join();
   if (flush_thread.joinable()) flush_thread.join();
-  if (metrics_fd >= 0) ::close(metrics_fd);
   if (!status.is_ok()) return fail(status);
 
   const svc::CacheStats stats = server.cache().stats();
@@ -1371,23 +1355,22 @@ int cmd_watch(const Args& args) {
     if (!tree.is_ok()) return fail(tree.status());
 
     if (!opened) {
-      std::string open_payload = "{\"root\":";
-      repro::json_append_string(open_payload, root);
-      open_payload += ",\"run\":";
-      repro::json_append_string(open_payload, run);
-      open_payload += ",\"reference\":";
-      repro::json_append_string(open_payload, reference);
-      open_payload += ",\"rank\":" + std::to_string(rank.value());
-      open_payload +=
-          ",\"data_bytes\":" + std::to_string(data.value().size());
-      open_payload += ",\"eps\":";
-      repro::json_append_number(open_payload,
-                                params.value().hash.error_bound);
-      open_payload +=
-          ",\"chunk_bytes\":" + std::to_string(params.value().chunk_bytes);
-      open_payload +=
-          ",\"values_per_block\":" +
-          std::to_string(params.value().hash.values_per_block) + "}";
+      std::string open_payload = "{";
+      bool first = true;
+      repro::append_kv(open_payload, "root", root, &first);
+      repro::append_kv(open_payload, "run", run, &first);
+      repro::append_kv(open_payload, "reference", reference, &first);
+      repro::append_kv(open_payload, "rank", rank.value(), &first);
+      repro::append_kv(open_payload, "data_bytes",
+                       std::uint64_t{data.value().size()}, &first);
+      repro::append_kv(open_payload, "eps", params.value().hash.error_bound,
+                       &first);
+      repro::append_kv(open_payload, "chunk_bytes",
+                       params.value().chunk_bytes, &first);
+      repro::append_kv(open_payload, "values_per_block",
+                       std::uint64_t{params.value().hash.values_per_block},
+                       &first);
+      open_payload += '}';
       auto open_reply = client.value().watch_open(open_payload);
       if (!open_reply.is_ok()) return fail(open_reply.status());
       if (!open_reply.value().ok()) {

@@ -69,4 +69,40 @@ inline void json_append_number(std::string& out, std::uint64_t value) {
   out += buf;
 }
 
+/// Appends `"key":` as the next member of a flat JSON object, preceded by a
+/// comma unless `*first` (which is then cleared). Every reply payload and
+/// log record the service writes is built from the append_kv family.
+inline void json_append_key(std::string& out, std::string_view key,
+                            bool* first) {
+  if (!*first) out += ',';
+  *first = false;
+  json_append_string(out, key);
+  out += ':';
+}
+
+inline void append_kv(std::string& out, std::string_view key,
+                      std::uint64_t value, bool* first) {
+  json_append_key(out, key, first);
+  json_append_number(out, value);
+}
+
+inline void append_kv(std::string& out, std::string_view key, double value,
+                      bool* first) {
+  json_append_key(out, key, first);
+  json_append_number(out, value);
+}
+
+inline void append_kv(std::string& out, std::string_view key,
+                      std::string_view value, bool* first) {
+  json_append_key(out, key, first);
+  json_append_string(out, value);
+}
+
+/// Named apart from append_kv so a string literal can never bind to bool.
+inline void append_kv_bool(std::string& out, std::string_view key, bool value,
+                           bool* first) {
+  json_append_key(out, key, first);
+  out += value ? "true" : "false";
+}
+
 }  // namespace repro

@@ -7,16 +7,11 @@
 #include <thread>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "io/retry.hpp"
-#include "svc/monitor.hpp"
 #include "svc/socket.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -25,53 +20,23 @@ namespace repro::svc {
 
 namespace {
 
-repro::Result<int> connect_unix(const std::filesystem::path& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  const std::string str = path.string();
-  if (str.size() >= sizeof(addr.sun_path)) {
-    return repro::invalid_argument("socket path too long: " + str);
-  }
-  std::memcpy(addr.sun_path, str.c_str(), str.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+repro::Result<int> connect_once(const ClientOptions& options) {
+  REPRO_ASSIGN_OR_RETURN(
+      const SocketAddress address,
+      socket_address(options.socket_path, options.host, options.port));
+  const int fd =
+      ::socket(address.storage.ss_family, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return repro::internal_error(std::string("socket: ") +
                                  std::strerror(errno));
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  if (::connect(fd, address.get(), address.length) != 0) {
     const int err = errno;
     ::close(fd);
-    return repro::unavailable("connect(" + str + "): " + std::strerror(err));
-  }
-  return fd;
-}
-
-repro::Result<int> connect_tcp(const std::string& host, std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return repro::invalid_argument("not an IPv4 address: " + host);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return repro::internal_error(std::string("socket: ") +
-                                 std::strerror(errno));
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return repro::unavailable("connect(" + host + ":" +
-                              std::to_string(port) +
+    return repro::unavailable("connect(" + address.name +
                               "): " + std::strerror(err));
   }
   return fd;
-}
-
-repro::Result<int> connect_once(const ClientOptions& options) {
-  return options.socket_path.empty()
-             ? connect_tcp(options.host, options.port)
-             : connect_unix(options.socket_path);
 }
 
 }  // namespace
@@ -116,7 +81,6 @@ repro::Result<Client> Client::connect(const ClientOptions& options) {
     fd = connect_once(options);
   }
   REPRO_RETURN_IF_ERROR(fd.status());
-  ::fcntl(fd.value(), F_SETFD, FD_CLOEXEC);
   return Client(fd.value(), options);
 }
 

@@ -24,8 +24,6 @@
 
 namespace repro::svc {
 
-struct WatchPushFrame;  // svc/monitor.hpp
-
 struct ClientOptions {
   /// Unix-domain socket path; when empty, TCP to host:port.
   std::filesystem::path socket_path;

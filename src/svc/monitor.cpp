@@ -1,13 +1,10 @@
 #include "svc/monitor.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "ckpt/history.hpp"
 #include "common/build_info.hpp"
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "merkle/compare.hpp"
 #include "telemetry/json_parse.hpp"
 #include "telemetry/metrics.hpp"
@@ -53,134 +50,11 @@ struct WatchMetrics {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Payload plumbing (little-endian codec + JSON emission helpers).
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) value = (value << 8) | p[i];
-  return value;
-}
-
-void append_kv(std::string& out, std::string_view key, std::uint64_t value,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  json_append_number(out, value);
-}
-
-void append_kv(std::string& out, std::string_view key, double value,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  json_append_number(out, value);
-}
-
-void append_kv(std::string& out, std::string_view key, std::string_view value,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  json_append_string(out, value);
-}
-
-void append_kv_bool(std::string& out, std::string_view key, bool value,
-                    bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  out += value ? "true" : "false";
-}
-
-std::string error_payload(std::string_view message) {
-  std::string out = "{\"error\":";
-  json_append_string(out, message);
-  out += '}';
-  return out;
-}
-
 WatchReply bad_request(std::string_view message) {
   return {WireStatus::kBadRequest, error_payload(message)};
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// WATCH_PUSH payload codec.
-
-void encode_watch_push(std::vector<std::uint8_t>& out,
-                       const WatchPushFrame& frame) {
-  out.reserve(out.size() + kWatchPushHeaderBytes +
-              frame.entries.size() * kWatchPushEntryBytes);
-  put_u64(out, frame.iteration);
-  put_u32(out, frame.delta ? kWatchPushFlagDelta : 0);
-  put_u32(out, static_cast<std::uint32_t>(frame.entries.size()));
-  for (const merkle::DeltaNode& entry : frame.entries) {
-    put_u64(out, entry.index);
-    put_u64(out, entry.digest.lo);
-    put_u64(out, entry.digest.hi);
-  }
-}
-
-repro::Result<WatchPushFrame> decode_watch_push(
-    std::span<const std::uint8_t> payload, std::uint64_t max_entries) {
-  if (payload.size() < kWatchPushHeaderBytes) {
-    return repro::invalid_argument("WATCH_PUSH payload truncated");
-  }
-  WatchPushFrame frame;
-  frame.iteration = get_u64(payload.data());
-  const std::uint32_t flags = get_u32(payload.data() + 8);
-  frame.delta = (flags & kWatchPushFlagDelta) != 0;
-  const std::uint64_t count = get_u32(payload.data() + 12);
-  if (count == 0) {
-    return repro::invalid_argument("WATCH_PUSH carries no entries");
-  }
-  if (count > max_entries) {
-    return repro::invalid_argument("WATCH_PUSH entry count exceeds cap");
-  }
-  if (payload.size() !=
-      kWatchPushHeaderBytes + count * kWatchPushEntryBytes) {
-    return repro::invalid_argument(
-        "WATCH_PUSH entry count disagrees with payload size");
-  }
-  frame.entries.resize(count);
-  const std::uint8_t* p = payload.data() + kWatchPushHeaderBytes;
-  for (std::uint64_t i = 0; i < count; ++i, p += kWatchPushEntryBytes) {
-    frame.entries[i].index = get_u64(p);
-    frame.entries[i].digest.lo = get_u64(p + 8);
-    frame.entries[i].digest.hi = get_u64(p + 16);
-    if (i > 0 && frame.entries[i].index <= frame.entries[i - 1].index) {
-      return repro::invalid_argument(
-          "WATCH_PUSH entries not strictly ascending by node index");
-    }
-  }
-  return frame;
-}
 
 // ---------------------------------------------------------------------------
 // Session state.
@@ -230,6 +104,10 @@ Monitor::Monitor(MonitorOptions options, MetadataCache* cache)
 }
 
 Monitor::~Monitor() = default;
+
+repro::Status Monitor::open_alert_log() {
+  return alert_log_.open(options_.alert_path);
+}
 
 void Monitor::publish_gauges() {
   WatchMetrics::get().sessions.set(static_cast<double>(sessions_.size()));
@@ -471,7 +349,7 @@ void Monitor::emit_alert(const Session& session, std::uint64_t iteration,
                          std::uint64_t chunks_total,
                          std::uint64_t first_divergent_chunk,
                          std::uint64_t latency_iters, double latency_us) {
-  if (options_.alert_path.empty()) return;
+  if (!alert_log_.enabled()) return;
   // One self-contained line per alert (schema "repro.divergence.alert" v1,
   // docs/FORMATS.md): unlike the ledger's header-then-records shape, every
   // record repeats the schema + provenance header so appends from many
@@ -497,18 +375,11 @@ void Monitor::emit_alert(const Session& session, std::uint64_t iteration,
   append_kv(line, "build_type", build.build_type, &prov);
   append_kv(line, "version", build.version, &prov);
   append_kv(line, "simd_level", build.simd_level, &prov);
-  line += "}}\n";
-
+  line += "}}";
   // Plain append, not an atomic whole-file publish: the file is a log that
   // outlives any single session, and a torn tail line is detectable (no
   // trailing newline) without invalidating earlier records.
-  std::FILE* f = std::fopen(options_.alert_path.string().c_str(), "ab");
-  if (f == nullptr ||
-      std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
-    REPRO_LOG_WARN << "divergence alert write to "
-                   << options_.alert_path.string() << " failed";
-  }
-  if (f != nullptr) std::fclose(f);
+  alert_log_.write_line(std::move(line));
 }
 
 WatchReply Monitor::close(std::uint64_t conn_id) {

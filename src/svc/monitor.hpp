@@ -43,40 +43,11 @@
 #include "merkle/nodestore.hpp"
 #include "merkle/tree.hpp"
 #include "svc/cache.hpp"
+#include "svc/log_file.hpp"
 #include "svc/wire.hpp"
 #include "telemetry/trace.hpp"
 
 namespace repro::svc {
-
-/// WATCH_PUSH binary payload (docs/FORMATS.md "WATCH_PUSH payload"):
-///
-///   offset  size  field
-///   0       8     iteration (u64 LE)
-///   8       4     flags (bit 0: delta — entries are relative to the
-///                 previous pushed iteration; clear: full node array)
-///   12      4     entry_count (u32 LE)
-///   16      entry_count x 24 B  {u64 node_index, u64 digest_lo, u64
-///                 digest_hi} — the RMFD entry encoding, strictly
-///                 ascending by node index
-inline constexpr std::size_t kWatchPushHeaderBytes = 16;
-inline constexpr std::size_t kWatchPushEntryBytes = 24;
-inline constexpr std::uint32_t kWatchPushFlagDelta = 1u << 0;
-
-struct WatchPushFrame {
-  std::uint64_t iteration = 0;
-  bool delta = false;
-  std::vector<merkle::DeltaNode> entries;
-};
-
-/// Encodes `frame` as a WATCH_PUSH payload (appended to `out`).
-void encode_watch_push(std::vector<std::uint8_t>& out,
-                       const WatchPushFrame& frame);
-
-/// Decodes and validates one WATCH_PUSH payload. Errors (invalid argument)
-/// on truncation, a declared count that disagrees with the payload size,
-/// zero entries, more than `max_entries`, or unsorted node indices.
-repro::Result<WatchPushFrame> decode_watch_push(
-    std::span<const std::uint8_t> payload, std::uint64_t max_entries);
 
 struct MonitorOptions {
   /// JSONL file first-divergence alerts are appended to; empty disables
@@ -110,6 +81,11 @@ class Monitor {
 
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
+
+  /// Opens the alert log named by MonitorOptions::alert_path (nothing to
+  /// open when it is empty). The server calls this from start(), so a path
+  /// that cannot be opened is a start error.
+  repro::Status open_alert_log();
 
   /// WATCH_OPEN: {"root","run","reference","data_bytes"} plus optional
   /// "rank", "eps", "chunk_bytes", "values_per_block". `parent` is the
@@ -148,6 +124,7 @@ class Monitor {
 
   MonitorOptions options_;
   MetadataCache* cache_;
+  LogFile alert_log_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   std::uint64_t buffered_bytes_ = 0;
 };

@@ -3,27 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
-#include "common/timer.hpp"
 #include "svc/client.hpp"
+#include "svc/log_file.hpp"
 #include "svc/socket.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
@@ -65,13 +60,6 @@ struct RouterMetrics {
   }
 };
 
-std::string error_payload(std::string_view message) {
-  std::string out = "{\"error\":";
-  json_append_string(out, message);
-  out += "}";
-  return out;
-}
-
 /// The re-admission probe delay for failure r (1-based): the RetryPolicy's
 /// capped exponential curve, read without sleeping on it.
 std::chrono::microseconds readmit_delay(const io::RetryPolicy& policy,
@@ -111,9 +99,8 @@ struct Router::Impl {
   ClientOptions upstream_base;
   RunIdRing ring;
 
-  int listen_fd = -1;
-  std::uint16_t bound_port = 0;
-  std::filesystem::path bound_socket_path;
+  LogFile access_log;
+  Listener listener;
   bool started = false;
 
   std::atomic<bool> stop_requested{false};
@@ -123,31 +110,41 @@ struct Router::Impl {
   std::map<std::string, WorkerState> workers;
 
   std::mutex handlers_mu;
-  std::vector<std::thread> handlers;
+  /// One thread per open downstream connection, by connection id.
+  std::unordered_map<std::uint64_t, std::thread> handlers;
+  /// Connections whose handler has returned; serve() joins their threads.
+  std::vector<std::uint64_t> finished_handlers;
   std::thread health_thread;
-
-  std::mutex log_mu;
 
   ~Impl() {
     stop_requested.store(true);
     if (health_thread.joinable()) health_thread.join();
-    join_handlers();
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (!bound_socket_path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(bound_socket_path, ec);
-    }
+    join_handlers(/*all=*/true);
   }
 
-  void join_handlers() {
-    std::vector<std::thread> drained;
+  /// Joins the threads of finished handlers — or, with `all`, of every
+  /// handler, waiting for the live ones to close their connections. A
+  /// finished thread that is never joined keeps its stack mapped.
+  void join_handlers(bool all) {
+    std::vector<std::thread> joinable;
     {
       std::lock_guard<std::mutex> lock(handlers_mu);
-      drained.swap(handlers);
+      if (all) {
+        for (auto& [conn_id, thread] : handlers) {
+          joinable.push_back(std::move(thread));
+        }
+        handlers.clear();
+      } else {
+        for (const std::uint64_t conn_id : finished_handlers) {
+          const auto it = handlers.find(conn_id);
+          if (it == handlers.end()) continue;  // taken by an earlier `all`
+          joinable.push_back(std::move(it->second));
+          handlers.erase(it);
+        }
+      }
+      finished_handlers.clear();
     }
-    for (auto& thread : drained) {
-      if (thread.joinable()) thread.join();
-    }
+    for (auto& thread : joinable) thread.join();
   }
 
   // ---- lifecycle -------------------------------------------------------
@@ -157,75 +154,19 @@ struct Router::Impl {
     if (options.workers.empty()) {
       return repro::invalid_argument("router needs at least one worker");
     }
-    if (!options.socket_path.empty()) {
-      REPRO_RETURN_IF_ERROR(bind_unix());
-    } else {
-      REPRO_RETURN_IF_ERROR(bind_tcp());
-    }
-    REPRO_RETURN_IF_ERROR(set_nonblocking(listen_fd));
-    if (::listen(listen_fd, 64) != 0) {
-      return repro::internal_error(std::string("listen: ") +
-                                   std::strerror(errno));
-    }
+    REPRO_RETURN_IF_ERROR(access_log.open(options.access_log_path));
+    REPRO_RETURN_IF_ERROR(
+        listener.open(options.socket_path, options.host, options.port));
     health_thread = std::thread([this] { health_loop(); });
     started = true;
-    return repro::Status::ok();
-  }
-
-  repro::Status bind_unix() {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    const std::string path = options.socket_path.string();
-    if (path.size() >= sizeof(addr.sun_path)) {
-      return repro::invalid_argument("socket path too long: " + path);
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      return repro::internal_error(std::string("socket: ") +
-                                   std::strerror(errno));
-    }
-    std::error_code ec;
-    std::filesystem::remove(options.socket_path, ec);
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return repro::internal_error("bind(" + path +
-                                   "): " + std::strerror(errno));
-    }
-    bound_socket_path = options.socket_path;
-    return repro::Status::ok();
-  }
-
-  repro::Status bind_tcp() {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options.port);
-    if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-      return repro::invalid_argument("not an IPv4 address: " + options.host);
-    }
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      return repro::internal_error(std::string("socket: ") +
-                                   std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return repro::internal_error("bind(:" + std::to_string(options.port) +
-                                   "): " + std::strerror(errno));
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);
-    bound_port = ntohs(bound.sin_port);
     return repro::Status::ok();
   }
 
   repro::Status serve() {
     if (!started) REPRO_RETURN_IF_ERROR(start());
     while (!stop_requested.load()) {
-      pollfd pfd{listen_fd, POLLIN, 0};
+      join_handlers(/*all=*/false);
+      pollfd pfd{listener.fd(), POLLIN, 0};
       const int ready = ::poll(&pfd, 1, 100);
       if (ready < 0) {
         if (io::errno_is_interrupt(errno)) continue;
@@ -235,8 +176,9 @@ struct Router::Impl {
       if (ready == 0) continue;
       sockaddr_storage addr{};
       socklen_t addr_len = sizeof(addr);
-      const int fd = ::accept(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                              &addr_len);
+      const int fd =
+          ::accept4(listener.fd(), reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len, SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK ||
             io::errno_is_interrupt(errno) || errno == ECONNABORTED) {
@@ -245,14 +187,18 @@ struct Router::Impl {
         REPRO_LOG_WARN << "router accept failed: " << std::strerror(errno);
         continue;
       }
-      ::fcntl(fd, F_SETFD, FD_CLOEXEC);
       const std::uint64_t conn_id = next_conn_id.fetch_add(1);
       const std::string peer = peer_name(addr);
+      // Held across the spawn, so the handler cannot report itself
+      // finished before its thread is registered.
       std::lock_guard<std::mutex> lock(handlers_mu);
-      handlers.emplace_back(
-          [this, fd, conn_id, peer] { handle_connection(fd, conn_id, peer); });
+      handlers.emplace(conn_id, std::thread([this, fd, conn_id, peer] {
+                         handle_connection(fd, conn_id, peer);
+                         std::lock_guard<std::mutex> done(handlers_mu);
+                         finished_handlers.push_back(conn_id);
+                       }));
     }
-    join_handlers();
+    join_handlers(/*all=*/true);
     return repro::Status::ok();
   }
 
@@ -393,49 +339,32 @@ struct Router::Impl {
 
   // ---- access log ------------------------------------------------------
 
-  void emit_access(std::string_view verb, WireStatus status,
-                   std::uint64_t request_id, std::uint64_t conn_id,
+  /// Appends one `repro.svc.access` v1 record: the shared fields plus
+  /// `upstream`, the worker that served the request (empty for verbs the
+  /// router answers itself). Request id and trace are the client's own:
+  /// forwarding is byte-for-byte.
+  void emit_access(const DecodedFrame& frame, std::string_view verb,
+                   WireStatus status, std::uint64_t conn_id,
                    std::string_view peer, std::string_view upstream,
-                   std::uint64_t bytes_in, std::uint64_t bytes_out,
-                   double wall_us, const WireTraceContext& trace) {
-    if (options.access_log_path.empty()) return;
-    std::string line = "{\"schema\":\"repro.svc.access\",\"version\":1";
-    line += ",\"verb\":";
-    json_append_string(line, verb);
-    line += ",\"status\":";
-    json_append_string(line, wire_status_name(status));
-    line += ",\"request_id\":";
-    json_append_number(line, request_id);
-    line += ",\"conn\":";
-    json_append_number(line, conn_id);
-    line += ",\"peer\":";
-    json_append_string(line, peer);
-    // Which worker served the forwarded request — empty for verbs the
-    // router answers itself. The originating request id and trace context
-    // above are the client's own: forwarding is byte-for-byte.
-    line += ",\"upstream\":";
-    json_append_string(line, upstream);
-    line += ",\"bytes_in\":";
-    json_append_number(line, bytes_in);
-    line += ",\"bytes_out\":";
-    json_append_number(line, bytes_out);
-    line += ",\"wall_us\":";
-    json_append_number(line, wall_us);
-    if (trace.valid()) {
-      const telemetry::TraceContext ctx{trace.trace_hi, trace.trace_lo, 0};
-      line += ",\"trace_id\":";
-      json_append_string(line, ctx.trace_id_hex());
-      line += ",\"parent_span_id\":";
-      json_append_string(line, telemetry::span_id_hex(trace.parent_span_id));
-    }
-    line += "}\n";
-    std::lock_guard<std::mutex> lock(log_mu);
-    FILE* file = std::fopen(options.access_log_path.string().c_str(), "ab");
-    if (file == nullptr) return;
-    if (std::fwrite(line.data(), 1, line.size(), file) != line.size()) {
-      REPRO_LOG_WARN << "router access log write failed";
-    }
-    std::fclose(file);
+                   std::uint64_t bytes_out,
+                   std::chrono::steady_clock::time_point received_at) {
+    if (!access_log.enabled()) return;
+    std::string line = access_record(
+        {.verb = verb,
+         .status = status,
+         .request_id = frame.header.request_id,
+         .conn = conn_id,
+         .peer = peer,
+         .bytes_in = frame.frame_bytes,
+         .bytes_out = bytes_out,
+         .wall_us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - received_at)
+                        .count(),
+         .trace = frame.trace});
+    bool first = false;
+    append_kv(line, "upstream", upstream, &first);
+    line += '}';
+    access_log.write_line(std::move(line));
   }
 
   // ---- connection handling --------------------------------------------
@@ -554,17 +483,12 @@ struct Router::Impl {
     std::vector<std::uint8_t> out;
     append_response(out, status, frame.header.request_id, payload, json);
     const bool sent = send_all(fd, out).is_ok();
-    const double wall_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - received_at)
-            .count();
     const char* verb = frame.header.is_response()
                            ? "RESPONSE"
                            : opcode_name(
                                  static_cast<Opcode>(frame.header.code));
-    emit_access(verb, status, frame.header.request_id, conn_id, peer,
-                /*upstream=*/"", frame.frame_bytes, out.size(), wall_us,
-                frame.trace);
+    emit_access(frame, verb, status, conn_id, peer, /*upstream=*/"",
+                out.size(), received_at);
     return sent;
   }
 
@@ -612,13 +536,8 @@ struct Router::Impl {
         if (op == Opcode::kWatchOpen && status.value() == WireStatus::kOk) {
           sticky_watch = endpoint;
         }
-        const double wall_us =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - received_at)
-                .count();
-        emit_access(opcode_name(op), status.value(), frame.header.request_id,
-                    conn_id, peer, endpoint, frame.frame_bytes, bytes_out,
-                    wall_us, frame.trace);
+        emit_access(frame, opcode_name(op), status.value(), conn_id, peer,
+                    endpoint, bytes_out, received_at);
         return true;
       }
       // The upstream Client drops here, closing the worker connection —
@@ -722,27 +641,24 @@ struct Router::Impl {
   // ---- aggregate verbs -------------------------------------------------
 
   std::string stats_payload() {
-    std::string out = "{\"router\":{\"workers\":";
-    json_append_number(out, static_cast<std::uint64_t>(ring.size()));
-    out += ",\"live\":";
-    json_append_number(out, static_cast<std::uint64_t>(live_workers()));
-    out += ",\"draining\":";
-    out += stop_requested.load() ? "true" : "false";
-    out += "},\"workers\":[";
+    std::string out = "{\"router\":{";
     bool first = true;
+    append_kv(out, "workers", std::uint64_t{ring.size()}, &first);
+    append_kv(out, "live", std::uint64_t{live_workers()}, &first);
+    append_kv_bool(out, "draining", stop_requested.load(), &first);
+    out += "},\"workers\":[";
     for (const auto& worker : options.workers) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"endpoint\":";
-      json_append_string(out, worker.endpoint);
+      if (out.back() != '[') out += ',';
       bool up;
       {
         std::lock_guard<std::mutex> lock(mu);
         const auto it = workers.find(worker.endpoint);
         up = it != workers.end() && it->second.up;
       }
-      out += ",\"up\":";
-      out += up ? "true" : "false";
+      out += '{';
+      bool field = true;
+      append_kv(out, "endpoint", worker.endpoint, &field);
+      append_kv_bool(out, "up", up, &field);
       if (up) {
         repro::Result<Client> client = checkout(worker.endpoint);
         if (client.is_ok()) {
@@ -754,7 +670,7 @@ struct Router::Impl {
           }
         }
       }
-      out += "}";
+      out += '}';
     }
     out += "]}";
     return out;
@@ -762,34 +678,29 @@ struct Router::Impl {
 
   std::string shutdown_workers() {
     std::string out = "{\"draining\":true,\"workers\":[";
-    bool first = true;
     for (const auto& worker : options.workers) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"endpoint\":";
-      json_append_string(out, worker.endpoint);
-      out += ",\"status\":";
+      if (out.back() != '[') out += ',';
+      std::string_view status = "UNREACHABLE";
       repro::Result<Client> client = checkout(worker.endpoint);
       if (client.is_ok()) {
-        const auto reply = client.value().call(Opcode::kShutdown, {});
-        json_append_string(out,
-                           reply.is_ok()
-                               ? wire_status_name(reply.value().status)
-                               : "UNREACHABLE");
         // The worker is draining; its pooled connections go stale — do not
         // check the connection back in.
-      } else {
-        json_append_string(out, "UNREACHABLE");
+        const auto reply = client.value().call(Opcode::kShutdown, {});
+        if (reply.is_ok()) status = wire_status_name(reply.value().status);
       }
-      out += "}";
+      out += '{';
+      bool field = true;
+      append_kv(out, "endpoint", worker.endpoint, &field);
+      append_kv(out, "status", status, &field);
+      out += '}';
     }
     out += "]}";
     return out;
   }
 
   [[nodiscard]] std::string endpoint_str() const {
-    if (!bound_socket_path.empty()) return bound_socket_path.string();
-    return options.host + ":" + std::to_string(bound_port);
+    if (!options.socket_path.empty()) return options.socket_path.string();
+    return options.host + ":" + std::to_string(listener.port());
   }
 };
 
@@ -804,7 +715,7 @@ repro::Status Router::serve() { return impl_->serve(); }
 
 void Router::request_stop() { impl_->stop_requested.store(true); }
 
-std::uint16_t Router::port() const { return impl_->bound_port; }
+std::uint16_t Router::port() const { return impl_->listener.port(); }
 
 std::string Router::endpoint() const { return impl_->endpoint_str(); }
 

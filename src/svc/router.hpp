@@ -15,7 +15,8 @@
 // Concurrency model: unlike the worker daemon's single event loop, the
 // router is a blocking thread-per-connection proxy — each downstream
 // connection gets one handler thread that forwards its requests serially
-// (pipelined requests are answered in order). Cancellation carries through
+// (pipelined requests are answered in order) and is joined by the accept
+// loop once the connection closes. Cancellation carries through
 // the hop structurally: a downstream connection's upstream connections die
 // with it, which drops the worker-side connection and cancels that
 // generation's tickets.
@@ -70,7 +71,8 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds the listener and starts the health-check thread.
+  /// Opens the access log, binds the listener and starts the health-check
+  /// thread. A log path that cannot be opened is an error naming the path.
   repro::Status start();
   /// Accepts and serves until a drain completes (SHUTDOWN verb or
   /// request_stop()). Joins all connection handlers before returning.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -14,17 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#if defined(__linux__)
+#include <fcntl.h>
 #include <sys/epoll.h>
-#define REPRO_SVC_HAVE_EPOLL 1
-#endif
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "ckpt/history.hpp"
 #include "common/json.hpp"
@@ -33,6 +25,7 @@
 #include "common/build_info.hpp"
 #include "merkle/nodestore.hpp"
 #include "par/thread_pool.hpp"
+#include "svc/log_file.hpp"
 #include "svc/monitor.hpp"
 #include "svc/socket.hpp"
 #include "telemetry/json_parse.hpp"
@@ -47,11 +40,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Telemetry sites (registered once, process lifetime).
 
-/// Microseconds elapsed since `start` (fractional; steady clock).
-double us_since(std::chrono::steady_clock::time_point start) noexcept {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+/// Microseconds from `from` to `to` (fractional).
+double us_between(std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) noexcept {
+  return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
 /// Per-request phase breakdown (docs/OBSERVABILITY.md). The six phases
@@ -59,9 +51,8 @@ double us_since(std::chrono::steady_clock::time_point start) noexcept {
 /// handler's time split into cache lookup / sidecar load / compute /
 /// serialize, then tx flush from handler done to reply written (for
 /// dispatched verbs that includes the completion-queue hop to the loop
-/// thread). `compute_us` is derived as handler wall minus the attributed
-/// phases, so the sum never undercounts work the finer stopwatches did not
-/// claim (JSON parse, catalog walks).
+/// thread). Each boundary is one clock read shared by the phases on both
+/// sides of it and by wall_us, so the phases add up to wall_us exactly.
 struct RequestTimings {
   double queue_us = 0;
   double cache_lookup_us = 0;
@@ -70,9 +61,11 @@ struct RequestTimings {
   double serialize_us = 0;
   double tx_flush_us = 0;
 
-  [[nodiscard]] double sum_us() const noexcept {
-    return queue_us + cache_lookup_us + sidecar_load_us + compute_us +
-           serialize_us + tx_flush_us;
+  /// Closes the handler phase. Whatever the finer stopwatches did not
+  /// claim (payload parse, catalog walks, the compare itself) is compute.
+  void finish_handler(double handler_us) noexcept {
+    compute_us = std::max(
+        0.0, handler_us - cache_lookup_us - sidecar_load_us - serialize_us);
   }
 };
 
@@ -150,165 +143,49 @@ struct SvcMetrics {
 };
 
 // ---------------------------------------------------------------------------
-// Readiness polling: epoll where available, poll(2) everywhere else. The
-// server's fd count is small (listener + wake pipe + clients), so the two
-// implementations only differ in syscall shape, not asymptotics.
+// Readiness: level-triggered epoll over the listener, the wake pipe and the
+// client sockets.
 
-struct ReadyEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-  bool hangup = false;
-};
-
-class Poller {
+class Epoll {
  public:
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool want_write) = 0;
-  virtual void update(int fd, bool want_write) = 0;
-  virtual void remove(int fd) = 0;
-  /// Blocks up to timeout_ms (-1 = forever); EINTR returns empty.
-  virtual std::vector<ReadyEvent> wait(int timeout_ms) = 0;
-};
-
-#if REPRO_SVC_HAVE_EPOLL
-class EpollPoller final : public Poller {
- public:
-  explicit EpollPoller(int epfd) : epfd_(epfd) {}
-  ~EpollPoller() override { ::close(epfd_); }
-
-  static std::unique_ptr<Poller> create() {
-    const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd < 0) return nullptr;
-    return std::make_unique<EpollPoller>(epfd);
+  Epoll() = default;
+  Epoll(const Epoll&) = delete;
+  Epoll& operator=(const Epoll&) = delete;
+  ~Epoll() {
+    if (fd_ >= 0) ::close(fd_);
   }
 
-  void add(int fd, bool want_write) override { ctl(EPOLL_CTL_ADD, fd, want_write); }
-  void update(int fd, bool want_write) override { ctl(EPOLL_CTL_MOD, fd, want_write); }
-  void remove(int fd) override {
-    struct epoll_event ev {};
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  std::vector<ReadyEvent> wait(int timeout_ms) override {
-    struct epoll_event events[64];
-    const int n = ::epoll_wait(epfd_, events, 64, timeout_ms);
-    std::vector<ReadyEvent> ready;
-    for (int i = 0; i < std::max(n, 0); ++i) {
-      ReadyEvent ev;
-      ev.fd = events[i].data.fd;
-      // Hangup counts as readable: the read() that returns 0 (or the
-      // remaining buffered bytes) is how the close is actually observed.
-      ev.readable =
-          (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      ready.push_back(ev);
+  repro::Status open() {
+    fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (fd_ < 0) {
+      return repro::internal_error(std::string("epoll_create1: ") +
+                                   std::strerror(errno));
     }
-    return ready;
+    return repro::Status::ok();
+  }
+
+  void add(int fd, bool want_write) { ctl(EPOLL_CTL_ADD, fd, want_write); }
+  void update(int fd, bool want_write) { ctl(EPOLL_CTL_MOD, fd, want_write); }
+  void remove(int fd) { ::epoll_ctl(fd_, EPOLL_CTL_DEL, fd, nullptr); }
+
+  /// Blocks up to timeout_ms (-1 = forever); EINTR returns no events.
+  std::span<const epoll_event> wait(int timeout_ms) {
+    const int n = ::epoll_wait(fd_, events_, kMaxEvents, timeout_ms);
+    return {events_, static_cast<std::size_t>(std::max(n, 0))};
   }
 
  private:
   void ctl(int op, int fd, bool want_write) {
-    struct epoll_event ev {};
+    epoll_event ev{};
     ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
-    ::epoll_ctl(epfd_, op, fd, &ev);
+    ::epoll_ctl(fd_, op, fd, &ev);
   }
 
-  int epfd_;
+  static constexpr int kMaxEvents = 64;
+  int fd_ = -1;
+  epoll_event events_[kMaxEvents]{};
 };
-#endif  // REPRO_SVC_HAVE_EPOLL
-
-class PollPoller final : public Poller {
- public:
-  void add(int fd, bool want_write) override {
-    fds_.push_back({fd, events_for(want_write), 0});
-  }
-  void update(int fd, bool want_write) override {
-    for (auto& entry : fds_) {
-      if (entry.fd == fd) entry.events = events_for(want_write);
-    }
-  }
-  void remove(int fd) override {
-    std::erase_if(fds_, [fd](const pollfd& p) { return p.fd == fd; });
-  }
-
-  std::vector<ReadyEvent> wait(int timeout_ms) override {
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    std::vector<ReadyEvent> ready;
-    if (n <= 0) return ready;
-    for (const auto& entry : fds_) {
-      if (entry.revents == 0) continue;
-      ReadyEvent ev;
-      ev.fd = entry.fd;
-      ev.readable = (entry.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-      ev.writable = (entry.revents & POLLOUT) != 0;
-      ev.hangup = (entry.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      ready.push_back(ev);
-    }
-    return ready;
-  }
-
- private:
-  static short events_for(bool want_write) {
-    return static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-  }
-  std::vector<pollfd> fds_;
-};
-
-std::unique_ptr<Poller> make_poller() {
-#if REPRO_SVC_HAVE_EPOLL
-  if (auto poller = EpollPoller::create()) return poller;
-#endif
-  return std::make_unique<PollPoller>();
-}
-
-// ---------------------------------------------------------------------------
-// JSON plumbing for handler payloads.
-
-void append_kv(std::string& out, std::string_view key, std::uint64_t value,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  json_append_number(out, value);
-}
-
-void append_kv(std::string& out, std::string_view key, double value,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  json_append_number(out, value);
-}
-
-void append_kv(std::string& out, std::string_view key, std::string_view value,
-               bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  json_append_string(out, value);
-}
-
-void append_kv_bool(std::string& out, std::string_view key, bool value,
-                    bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  json_append_string(out, key);
-  out += ':';
-  out += value ? "true" : "false";
-}
-
-std::string error_payload(std::string_view message) {
-  std::string out = "{\"error\":";
-  json_append_string(out, message);
-  out += '}';
-  return out;
-}
 
 WireStatus wire_status_for(const repro::Status& status) {
   switch (status.code()) {
@@ -334,13 +211,8 @@ struct Server::Impl {
 
   ~Impl() {
     close_all();
-    if (listen_fd >= 0) ::close(listen_fd);
     if (wake_fds[0] >= 0) ::close(wake_fds[0]);
     if (wake_fds[1] >= 0) ::close(wake_fds[1]);
-    if (!bound_socket_path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(bound_socket_path, ec);
-    }
   }
 
   /// One response being streamed as TIMELINE_CHUNK frames: the full
@@ -395,12 +267,12 @@ struct Server::Impl {
   Monitor monitor;
   std::chrono::steady_clock::time_point started_at;
 
-  int listen_fd = -1;
-  std::uint16_t bound_port = 0;
-  std::filesystem::path bound_socket_path;
+  LogFile access_log;
+  /// Closed (and its socket file removed) when a drain begins.
+  Listener listener;
   int wake_fds[2] = {-1, -1};
 
-  std::unique_ptr<Poller> poller;
+  Epoll epoll;
   std::unique_ptr<par::ThreadPool> pool;
 
   std::unordered_map<int, Connection> connections;
@@ -428,78 +300,21 @@ struct Server::Impl {
 
   repro::Status start() {
     if (started) return repro::Status::ok();
-    if (::pipe(wake_fds) != 0) {
-      return repro::internal_error(std::string("pipe: ") +
+    REPRO_RETURN_IF_ERROR(access_log.open(options.access_log_path));
+    REPRO_RETURN_IF_ERROR(monitor.open_alert_log());
+    if (::pipe2(wake_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+      return repro::internal_error(std::string("pipe2: ") +
                                    std::strerror(errno));
     }
-    REPRO_RETURN_IF_ERROR(set_nonblocking(wake_fds[0]));
-    REPRO_RETURN_IF_ERROR(set_nonblocking(wake_fds[1]));
-
-    if (!options.socket_path.empty()) {
-      REPRO_RETURN_IF_ERROR(bind_unix());
-    } else {
-      REPRO_RETURN_IF_ERROR(bind_tcp());
-    }
-    REPRO_RETURN_IF_ERROR(set_nonblocking(listen_fd));
-    if (::listen(listen_fd, 64) != 0) {
-      return repro::internal_error(std::string("listen: ") +
-                                   std::strerror(errno));
-    }
-    poller = make_poller();
-    poller->add(listen_fd, false);
-    poller->add(wake_fds[0], false);
+    REPRO_RETURN_IF_ERROR(epoll.open());
+    REPRO_RETURN_IF_ERROR(
+        listener.open(options.socket_path, "127.0.0.1", options.port));
+    epoll.add(listener.fd(), false);
+    epoll.add(wake_fds[0], false);
     pool = std::make_unique<par::ThreadPool>(
         std::max<std::size_t>(1, options.workers));
     started_at = std::chrono::steady_clock::now();
     started = true;
-    return repro::Status::ok();
-  }
-
-  repro::Status bind_unix() {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    const std::string path = options.socket_path.string();
-    if (path.size() >= sizeof(addr.sun_path)) {
-      return repro::invalid_argument("socket path too long: " + path);
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      return repro::internal_error(std::string("socket: ") +
-                                   std::strerror(errno));
-    }
-    // A stale socket file from a crashed daemon blocks bind; remove it.
-    std::error_code ec;
-    std::filesystem::remove(options.socket_path, ec);
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return repro::internal_error("bind(" + path +
-                                   "): " + std::strerror(errno));
-    }
-    bound_socket_path = options.socket_path;
-    return repro::Status::ok();
-  }
-
-  repro::Status bind_tcp() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      return repro::internal_error(std::string("socket: ") +
-                                   std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(options.port);
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return repro::internal_error(std::string("bind: ") +
-                                   std::strerror(errno));
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    bound_port = ntohs(addr.sin_port);
     return repro::Status::ok();
   }
 
@@ -535,14 +350,13 @@ struct Server::Impl {
   }
 
   void poll_once() {
-    const auto ready = poller->wait(next_timeout_ms());
-    for (const auto& ev : ready) {
-      if (ev.fd == listen_fd) {
+    for (const epoll_event& ev : epoll.wait(next_timeout_ms())) {
+      if (ev.data.fd == listener.fd()) {
         accept_ready();
-      } else if (ev.fd == wake_fds[0]) {
+      } else if (ev.data.fd == wake_fds[0]) {
         drain_wake_pipe();
       } else {
-        connection_ready(ev);
+        connection_ready(ev.data.fd, ev.events);
       }
     }
     apply_completions();
@@ -568,10 +382,9 @@ struct Server::Impl {
     drain_deadline = std::chrono::steady_clock::now() +
                      options.request_timeout +
                      std::chrono::milliseconds(2000);
-    if (listen_fd >= 0) {
-      poller->remove(listen_fd);
-      ::close(listen_fd);
-      listen_fd = -1;
+    if (listener.fd() >= 0) {
+      epoll.remove(listener.fd());
+      listener.close();
     }
     REPRO_LOG_INFO << "reprod draining: " << tickets.size()
                    << " request(s) in flight, " << connections.size()
@@ -593,8 +406,9 @@ struct Server::Impl {
     while (true) {
       sockaddr_storage addr{};
       socklen_t addr_len = sizeof(addr);
-      const int fd = ::accept(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                              &addr_len);
+      const int fd =
+          ::accept4(listener.fd(), reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (io::errno_is_interrupt(errno) || errno == ECONNABORTED) continue;
@@ -610,40 +424,38 @@ struct Server::Impl {
         REPRO_LOG_WARN << "accept failed: " << std::strerror(errno);
         return;
       }
-      if (!set_nonblocking(fd).is_ok()) {
-        ::close(fd);
-        continue;
-      }
       Connection conn;
       conn.id = next_conn_id++;
       conn.peer = peer_name(addr);
       connections.emplace(fd, std::move(conn));
-      poller->add(fd, false);
+      epoll.add(fd, false);
     }
   }
 
   // ---- per-connection I/O ---------------------------------------------
 
-  void connection_ready(const ReadyEvent& ev) {
-    if (ev.readable) {
-      auto it = connections.find(ev.fd);
+  void connection_ready(int fd, std::uint32_t events) {
+    // Hangup counts as readable: the read() that returns 0 (or the
+    // remaining buffered bytes) is how the close is actually observed.
+    if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+      auto it = connections.find(fd);
       if (it == connections.end()) return;
-      if (!read_from(ev.fd, it->second)) {
-        drop_connection(ev.fd);
+      if (!read_from(fd, it->second)) {
+        drop_connection(fd);
         return;
       }
-      parse_frames(ev.fd, it->second);
+      parse_frames(fd, it->second);
     }
     // Re-find: parse_frames may have dropped the connection (framing
     // violation, peer error mid-response).
-    auto it = connections.find(ev.fd);
+    auto it = connections.find(fd);
     if (it == connections.end()) return;
-    if (ev.writable) {
-      if (!flush_tx(ev.fd, it->second)) {
-        drop_connection(ev.fd);
+    if ((events & EPOLLOUT) != 0) {
+      if (!flush_tx(fd, it->second)) {
+        drop_connection(fd);
         return;
       }
-      pump_streams(ev.fd, it->second);
+      pump_streams(fd, it->second);
     }
   }
 
@@ -735,7 +547,7 @@ struct Server::Impl {
       drop_connection(fd);
       return;
     }
-    if (conn.tx_off < conn.tx.size()) poller->update(fd, true);
+    if (conn.tx_off < conn.tx.size()) epoll.update(fd, true);
   }
 
   /// Writes as much buffered tx as the socket accepts. Returns false when
@@ -761,7 +573,7 @@ struct Server::Impl {
     conn.tx.clear();
     conn.tx_off = 0;
     if (conn.close_after_flush) return false;
-    poller->update(fd, false);
+    epoll.update(fd, false);
     return true;
   }
 
@@ -811,7 +623,7 @@ struct Server::Impl {
       return;
     }
     if (conn.tx_off < conn.tx.size() || !conn.streams.empty()) {
-      poller->update(fd, true);
+      epoll.update(fd, true);
     }
   }
 
@@ -826,7 +638,7 @@ struct Server::Impl {
     std::erase_if(tickets, [&](const auto& entry) {
       return entry.second.conn_id == it->second.id;
     });
-    poller->remove(fd);
+    epoll.remove(fd);
     ::close(fd);
     connections.erase(it);
   }
@@ -840,29 +652,13 @@ struct Server::Impl {
 
   // ---- access log ------------------------------------------------------
 
-  /// Appends one `repro.svc.access` v1 record (flat JSON, one line) to the
-  /// configured access log. Loop-thread only, so plain append semantics
-  /// suffice; a failed write degrades to a warning — the response already
-  /// went out, losing a log line must not fail the request.
-  void emit_access(std::string_view verb, WireStatus status,
-                   std::uint64_t request_id, std::uint64_t conn_id,
-                   std::string_view peer, std::uint64_t bytes_in,
-                   std::uint64_t bytes_out, double wall_us,
-                   const RequestTimings& t, bool cache_hit,
-                   const WireTraceContext& trace) {
-    if (options.access_log_path.empty()) return;
-    std::string line = "{";
-    bool first = true;
-    append_kv(line, "schema", "repro.svc.access", &first);
-    append_kv(line, "version", std::uint64_t{1}, &first);
-    append_kv(line, "verb", verb, &first);
-    append_kv(line, "status", wire_status_name(status), &first);
-    append_kv(line, "request_id", request_id, &first);
-    append_kv(line, "conn", conn_id, &first);
-    append_kv(line, "peer", peer, &first);
-    append_kv(line, "bytes_in", bytes_in, &first);
-    append_kv(line, "bytes_out", bytes_out, &first);
-    append_kv(line, "wall_us", wall_us, &first);
+  /// Appends one `repro.svc.access` v1 record: the shared fields, then the
+  /// six phases, cache_hit and slow. Written after the reply is flushed.
+  void emit_access(const AccessFields& fields, const RequestTimings& t,
+                   bool cache_hit) {
+    if (!access_log.enabled()) return;
+    std::string line = access_record(fields);
+    bool first = false;
     append_kv(line, "queue_us", t.queue_us, &first);
     append_kv(line, "cache_lookup_us", t.cache_lookup_us, &first);
     append_kv(line, "sidecar_load_us", t.sidecar_load_us, &first);
@@ -872,34 +668,18 @@ struct Server::Impl {
     append_kv_bool(line, "cache_hit", cache_hit, &first);
     append_kv_bool(
         line, "slow",
-        wall_us >= static_cast<double>(options.slow_request_ms) * 1000.0,
+        fields.wall_us >= static_cast<double>(options.slow_request_ms) * 1000.0,
         &first);
-    if (trace.valid()) {
-      const telemetry::TraceContext ctx{trace.trace_hi, trace.trace_lo, 0};
-      append_kv(line, "trace_id", ctx.trace_id_hex(), &first);
-      append_kv(line, "parent_span_id",
-                telemetry::span_id_hex(trace.parent_span_id), &first);
-    }
-    line += "}\n";
-    FILE* file = std::fopen(options.access_log_path.string().c_str(), "ab");
-    if (file == nullptr) {
-      REPRO_LOG_WARN << "access log open failed: "
-                     << options.access_log_path.string();
-      return;
-    }
-    if (std::fwrite(line.data(), 1, line.size(), file) != line.size()) {
-      REPRO_LOG_WARN << "access log write failed: "
-                     << options.access_log_path.string();
-    }
-    std::fclose(file);
+    line += '}';
+    access_log.write_line(std::move(line));
   }
 
   /// Inline replies (answered on the loop thread, no ticket) funnel through
   /// here so PING/STATS/METRICS and immediate errors land in the access log
   /// and phase histograms alongside dispatched work. The caller fills in
-  /// whatever phases it measured (serialize, compute); tx flush and wall
-  /// time are measured here. May drop the connection via send_response —
-  /// conn state is snapshotted first.
+  /// the finer phases it measured (serialize); the handler phase closes
+  /// here, and the rest of it is compute. May drop the connection via
+  /// send_response — conn state is snapshotted first.
   void reply_logged(int fd, Connection& conn, std::string_view verb,
                     WireStatus status, const DecodedFrame& frame,
                     std::string_view payload, RequestTimings t,
@@ -907,7 +687,6 @@ struct Server::Impl {
                     bool json = true) {
     const std::uint64_t conn_id = conn.id;
     const std::string peer = conn.peer;
-    const std::uint64_t bytes_out = kFrameHeaderBytes + payload.size();
     // The server-side handler span for inline verbs. Linking under the
     // client's request span (via the trace-context trailer, when present)
     // is what lets trace-merge join the two --trace-out files — PING pairs
@@ -919,13 +698,22 @@ struct Server::Impl {
     span.arg("op", verb)
         .arg("id", frame.header.request_id)
         .arg("status", wire_status_name(status));
-    Stopwatch tx_clock;
+    const auto handler_done = std::chrono::steady_clock::now();
+    t.finish_handler(us_between(received_at, handler_done));
     send_response(fd, conn, status, frame.header.request_id, payload, json);
-    t.tx_flush_us = tx_clock.seconds() * 1e6;
+    const auto sent = std::chrono::steady_clock::now();
+    t.tx_flush_us = us_between(handler_done, sent);
     SvcMetrics::get().record_phases(t);
-    emit_access(verb, status, frame.header.request_id, conn_id, peer,
-                frame.frame_bytes, bytes_out, us_since(received_at), t,
-                /*cache_hit=*/false, frame.trace);
+    emit_access({.verb = verb,
+                 .status = status,
+                 .request_id = frame.header.request_id,
+                 .conn = conn_id,
+                 .peer = peer,
+                 .bytes_in = frame.frame_bytes,
+                 .bytes_out = kFrameHeaderBytes + payload.size(),
+                 .wall_us = us_between(received_at, sent),
+                 .trace = frame.trace},
+                t, /*cache_hit=*/false);
   }
 
   // ---- request handling ------------------------------------------------
@@ -986,7 +774,7 @@ struct Server::Impl {
                        RequestTimings{}, received_at);
           return;
         }
-        handle_watch(fd, conn, op, frame);
+        handle_watch(fd, conn, op, frame, received_at);
         return;
       case Opcode::kCompare:
       case Opcode::kTimeline:
@@ -1031,7 +819,8 @@ struct Server::Impl {
                   trace = frame.trace, payload = frame.payload]() {
       Completion done;
       done.ticket = ticket_id;
-      done.timings.queue_us = us_since(received_at);
+      const auto picked_up = std::chrono::steady_clock::now();
+      done.timings.queue_us = us_between(received_at, picked_up);
       // The handler span adopts the trace identity from the request's
       // trace-context trailer (when present) and links under the client's
       // request span, so both processes' --trace-out files join into one
@@ -1041,21 +830,15 @@ struct Server::Impl {
           telemetry::TraceContext{trace.trace_hi, trace.trace_lo,
                                   trace.parent_span_id});
       span.arg("op", opcode_name(op)).arg("id", request_id);
-      Stopwatch clock;
       run_handler(op, payload, &done);
-      const double handler_us = clock.seconds() * 1e6;
-      SvcMetrics::get().request_seconds.record(clock.seconds());
-      // Whatever the finer stopwatches did not claim (payload parse,
-      // catalog walks, the compare itself) is compute: the phases then
-      // partition the handler's wall time exactly.
-      done.timings.compute_us = std::max(
-          0.0, handler_us - done.timings.cache_lookup_us -
-                   done.timings.sidecar_load_us - done.timings.serialize_us);
+      done.handler_done = std::chrono::steady_clock::now();
+      const double handler_us = us_between(picked_up, done.handler_done);
+      SvcMetrics::get().request_seconds.record(handler_us * 1e-6);
+      done.timings.finish_handler(handler_us);
       if (done.status != WireStatus::kOk) {
         SvcMetrics::get().errors.increment();
       }
       span.arg("status", wire_status_name(done.status));
-      done.handler_done = std::chrono::steady_clock::now();
       {
         std::lock_guard<std::mutex> lock(completion_mu);
         completions.push_back(std::move(done));
@@ -1069,15 +852,13 @@ struct Server::Impl {
   /// with a trace-context trailer, links under the client's request span —
   /// so a slow push is attributable end-to-end in the merged trace.
   void handle_watch(int fd, Connection& conn, Opcode op,
-                    const DecodedFrame& frame) {
-    const auto received_at = std::chrono::steady_clock::now();
+                    const DecodedFrame& frame,
+                    std::chrono::steady_clock::time_point received_at) {
     telemetry::TraceSpan span(
         "svc.watch",
         telemetry::TraceContext{frame.trace.trace_hi, frame.trace.trace_lo,
                                 frame.trace.parent_span_id});
     span.arg("op", opcode_name(op)).arg("id", frame.header.request_id);
-    RequestTimings t;
-    Stopwatch compute_clock;
     WatchReply reply;
     switch (op) {
       case Opcode::kWatchOpen:
@@ -1090,7 +871,6 @@ struct Server::Impl {
         reply = monitor.close(conn.id);
         break;
     }
-    t.compute_us = compute_clock.seconds() * 1e6;
     span.arg("status", wire_status_name(reply.status));
     if (reply.status != WireStatus::kOk) {
       SvcMetrics::get().errors.increment();
@@ -1106,7 +886,7 @@ struct Server::Impl {
       }
     }
     reply_logged(fd, conn, opcode_name(op), reply.status, frame,
-                 reply.payload, t, received_at);
+                 reply.payload, RequestTimings{}, received_at);
   }
 
   void apply_completions() {
@@ -1133,6 +913,7 @@ struct Server::Impl {
       if (conn_it->second.inflight > 0) --conn_it->second.inflight;
       // Snapshot before send_response: it may drop the connection.
       const std::string peer = conn_it->second.peer;
+      std::uint64_t bytes_out = kFrameHeaderBytes + done.payload.size();
       // Successful TIMELINE replies larger than one chunk stream as
       // TIMELINE_CHUNK continuation frames instead of landing in tx as one
       // giant buffer — the whole point of the streamed-partial-results
@@ -1144,30 +925,35 @@ struct Server::Impl {
         const std::size_t chunk = stream_chunk_bytes();
         const std::uint64_t frames =
             (done.payload.size() + chunk - 1) / chunk;
-        const std::uint64_t stream_bytes_out =
-            done.payload.size() + frames * kFrameHeaderBytes;
+        bytes_out = done.payload.size() + frames * kFrameHeaderBytes;
         conn_it->second.streams.push_back(
             ChunkStream{ticket.request_id, std::move(done.payload), 0});
         pump_streams(ticket.fd, conn_it->second);
-        done.timings.tx_flush_us = us_since(done.handler_done);
-        SvcMetrics::get().record_phases(done.timings);
-        emit_access(opcode_name(ticket.op), done.status, ticket.request_id,
-                    ticket.conn_id, peer, ticket.bytes_in, stream_bytes_out,
-                    us_since(ticket.enqueued_at), done.timings,
-                    done.cache_hit, ticket.trace);
-        continue;
+      } else {
+        send_response(ticket.fd, conn_it->second, done.status,
+                      ticket.request_id, done.payload);
       }
-      const std::uint64_t bytes_out =
-          kFrameHeaderBytes + done.payload.size();
-      send_response(ticket.fd, conn_it->second, done.status,
-                    ticket.request_id, done.payload);
-      done.timings.tx_flush_us = us_since(done.handler_done);
+      const auto sent = std::chrono::steady_clock::now();
+      done.timings.tx_flush_us = us_between(done.handler_done, sent);
       SvcMetrics::get().record_phases(done.timings);
-      emit_access(opcode_name(ticket.op), done.status, ticket.request_id,
-                  ticket.conn_id, peer, ticket.bytes_in, bytes_out,
-                  us_since(ticket.enqueued_at), done.timings, done.cache_hit,
-                  ticket.trace);
+      emit_access(ticket_fields(ticket, peer, done.status, bytes_out, sent),
+                  done.timings, done.cache_hit);
     }
+  }
+
+  /// The access-record fields of a dispatched request answered at `sent`.
+  static AccessFields ticket_fields(
+      const Ticket& ticket, std::string_view peer, WireStatus status,
+      std::uint64_t bytes_out, std::chrono::steady_clock::time_point sent) {
+    return {.verb = opcode_name(ticket.op),
+            .status = status,
+            .request_id = ticket.request_id,
+            .conn = ticket.conn_id,
+            .peer = peer,
+            .bytes_in = ticket.bytes_in,
+            .bytes_out = bytes_out,
+            .wall_us = us_between(ticket.enqueued_at, sent),
+            .trace = ticket.trace};
   }
 
   void expire_deadlines() {
@@ -1193,11 +979,10 @@ struct Server::Impl {
       // The handler is still running; its phases land in the histograms
       // when it completes (the completion is then dropped). The access
       // record carries zero phases — the wall time is the story here.
-      emit_access(opcode_name(ticket.op), WireStatus::kDeadlineExceeded,
-                  ticket.request_id, ticket.conn_id, peer, ticket.bytes_in,
-                  kFrameHeaderBytes + payload.size(),
-                  us_since(ticket.enqueued_at), RequestTimings{},
-                  /*cache_hit=*/false, ticket.trace);
+      emit_access(ticket_fields(ticket, peer, WireStatus::kDeadlineExceeded,
+                                kFrameHeaderBytes + payload.size(),
+                                std::chrono::steady_clock::now()),
+                  RequestTimings{}, /*cache_hit=*/false);
     }
   }
 
@@ -1504,10 +1289,10 @@ struct Server::Impl {
   }
 
   std::string endpoint() const {
-    if (!bound_socket_path.empty()) {
-      return "unix:" + bound_socket_path.string();
+    if (!options.socket_path.empty()) {
+      return "unix:" + options.socket_path.string();
     }
-    return "tcp:127.0.0.1:" + std::to_string(bound_port);
+    return "tcp:127.0.0.1:" + std::to_string(listener.port());
   }
 };
 
@@ -1545,7 +1330,7 @@ void Server::request_stop() noexcept {
   impl_->wake();
 }
 
-std::uint16_t Server::port() const noexcept { return impl_->bound_port; }
+std::uint16_t Server::port() const noexcept { return impl_->listener.port(); }
 std::string Server::endpoint() const { return impl_->endpoint(); }
 MetadataCache& Server::cache() noexcept { return impl_->cache; }
 
@@ -1560,9 +1345,8 @@ repro::Status install_signal_handlers(Server& server) {
     return repro::internal_error(std::string("sigaction: ") +
                                  std::strerror(errno));
   }
-  // Socket writes use MSG_NOSIGNAL, but belt-and-suspenders for the wake
-  // pipe and any platform lacking the flag: a vanished peer must never
-  // deliver a default-fatal SIGPIPE to the daemon.
+  // Socket writes use MSG_NOSIGNAL, but a write(2) to the wake pipe has no
+  // such flag: neither may deliver a default-fatal SIGPIPE to the daemon.
   ::signal(SIGPIPE, SIG_IGN);
   return repro::Status::ok();
 }

@@ -1,8 +1,8 @@
 // The `reprod` compare daemon: a long-running, nonblocking socket server
 // that answers divergence queries from a resident metadata cache.
 //
-// One thread runs the event loop (epoll on Linux, poll fallback): accept,
-// frame reassembly, response writes, timeouts. Decoded requests that do
+// One thread runs the event loop (level-triggered epoll; Linux only):
+// accept, frame reassembly, response writes, timeouts. Decoded requests that do
 // real work (COMPARE / TIMELINE / LOAD_RUN) are dispatched onto the
 // existing `par` thread pool machinery — the server owns a dedicated
 // par::ThreadPool instance for handlers, so a handler blocking inside
@@ -101,8 +101,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen. After start() returns OK the endpoint is connectable;
-  /// frames queue in the socket backlog until serve() runs.
+  /// Opens the access and alert logs, then binds and listens. After
+  /// start() returns OK the endpoint is connectable; frames queue in the
+  /// socket backlog until serve() runs. A log path that cannot be opened
+  /// is an error naming the path.
   repro::Status start();
 
   /// Runs the event loop until a graceful drain completes. Calls start()

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/json.hpp"
+
 namespace repro::svc {
 
 namespace {
@@ -185,6 +187,62 @@ DecodeOutcome decode_frame(std::span<const std::uint8_t> buffer,
   }
   frame->frame_bytes = static_cast<std::size_t>(total);
   return DecodeOutcome::kFrame;
+}
+
+std::string error_payload(std::string_view message) {
+  std::string out = "{\"error\":";
+  json_append_string(out, message);
+  out += '}';
+  return out;
+}
+
+void encode_watch_push(std::vector<std::uint8_t>& out,
+                       const WatchPushFrame& frame) {
+  out.reserve(out.size() + kWatchPushHeaderBytes +
+              frame.entries.size() * kWatchPushEntryBytes);
+  put_u64(out, frame.iteration);
+  put_u32(out, frame.delta ? kWatchPushFlagDelta : 0);
+  put_u32(out, static_cast<std::uint32_t>(frame.entries.size()));
+  for (const merkle::DeltaNode& entry : frame.entries) {
+    put_u64(out, entry.index);
+    put_u64(out, entry.digest.lo);
+    put_u64(out, entry.digest.hi);
+  }
+}
+
+repro::Result<WatchPushFrame> decode_watch_push(
+    std::span<const std::uint8_t> payload, std::uint64_t max_entries) {
+  if (payload.size() < kWatchPushHeaderBytes) {
+    return repro::invalid_argument("WATCH_PUSH payload truncated");
+  }
+  WatchPushFrame frame;
+  frame.iteration = get_u64(payload.data());
+  const std::uint32_t flags = get_u32(payload.data() + 8);
+  frame.delta = (flags & kWatchPushFlagDelta) != 0;
+  const std::uint64_t count = get_u32(payload.data() + 12);
+  if (count == 0) {
+    return repro::invalid_argument("WATCH_PUSH carries no entries");
+  }
+  if (count > max_entries) {
+    return repro::invalid_argument("WATCH_PUSH entry count exceeds cap");
+  }
+  if (payload.size() !=
+      kWatchPushHeaderBytes + count * kWatchPushEntryBytes) {
+    return repro::invalid_argument(
+        "WATCH_PUSH entry count disagrees with payload size");
+  }
+  frame.entries.resize(count);
+  const std::uint8_t* p = payload.data() + kWatchPushHeaderBytes;
+  for (std::uint64_t i = 0; i < count; ++i, p += kWatchPushEntryBytes) {
+    frame.entries[i].index = get_u64(p);
+    frame.entries[i].digest.lo = get_u64(p + 8);
+    frame.entries[i].digest.hi = get_u64(p + 16);
+    if (i > 0 && frame.entries[i].index <= frame.entries[i - 1].index) {
+      return repro::invalid_argument(
+          "WATCH_PUSH entries not strictly ascending by node index");
+    }
+  }
+  return frame;
 }
 
 }  // namespace repro::svc

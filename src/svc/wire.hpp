@@ -29,6 +29,9 @@
 // interoperate with trace-aware peers unchanged, and the flags field is
 // decodable from the same 16-byte prefix, so the early oversize rejection
 // accounts for trailer bytes too.
+//
+// The payload codecs every peer shares live here too: the `{"error":...}`
+// body of error replies and the binary WATCH_PUSH digest payload.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +39,9 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/status.hpp"
+#include "merkle/flat.hpp"
 
 namespace repro::svc {
 
@@ -183,5 +189,38 @@ enum class DecodeOutcome {
 [[nodiscard]] DecodeOutcome decode_frame(std::span<const std::uint8_t> buffer,
                                          std::uint32_t max_frame_bytes,
                                          DecodedFrame* frame);
+
+/// The JSON payload of every error reply: `{"error":"<message>"}`.
+[[nodiscard]] std::string error_payload(std::string_view message);
+
+/// WATCH_PUSH binary payload (docs/FORMATS.md "WATCH_PUSH payload"):
+///
+///   offset  size  field
+///   0       8     iteration (u64 LE)
+///   8       4     flags (bit 0: delta — entries are relative to the
+///                 previous pushed iteration; clear: full node array)
+///   12      4     entry_count (u32 LE)
+///   16      entry_count x 24 B  {u64 node_index, u64 digest_lo, u64
+///                 digest_hi} — the RMFD entry encoding, strictly
+///                 ascending by node index
+inline constexpr std::size_t kWatchPushHeaderBytes = 16;
+inline constexpr std::size_t kWatchPushEntryBytes = 24;
+inline constexpr std::uint32_t kWatchPushFlagDelta = 1u << 0;
+
+struct WatchPushFrame {
+  std::uint64_t iteration = 0;
+  bool delta = false;
+  std::vector<merkle::DeltaNode> entries;
+};
+
+/// Encodes `frame` as a WATCH_PUSH payload (appended to `out`).
+void encode_watch_push(std::vector<std::uint8_t>& out,
+                       const WatchPushFrame& frame);
+
+/// Decodes and validates one WATCH_PUSH payload. Errors (invalid argument)
+/// on truncation, a declared count that disagrees with the payload size,
+/// zero entries, more than `max_entries`, or unsorted node indices.
+repro::Result<WatchPushFrame> decode_watch_push(
+    std::span<const std::uint8_t> payload, std::uint64_t max_entries);
 
 }  // namespace repro::svc

@@ -7,10 +7,13 @@
 // satellite on plain Clients.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+#include <pthread.h>
 #include <sys/socket.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -554,6 +557,58 @@ TEST_F(RouterFabricTest, FabricClientRoutesItselfAndFailsOver) {
   response = fabric.value().call(Opcode::kCompare, request);
   ASSERT_TRUE(response.is_ok()) << response.status().to_string();
   EXPECT_TRUE(response.value().ok()) << response.value().payload;
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoull(line.substr(std::strlen("VmSize:")));
+    }
+  }
+  return 0;
+}
+
+TEST_F(RouterFabricTest, HandlerThreadsAreReclaimedWhenConnectionsClose) {
+  // Keep glibc from mapping a new 64 MiB malloc arena whenever handler
+  // threads overlap under load: only thread stacks may move VmSize here.
+  // Set before any fabric thread allocates, while the limit is unset.
+  mallopt(M_ARENA_MAX, 1);
+  start_fabric(RouterOptions{});
+  auto ping_once = [this] {
+    auto client = connect_router();
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    auto ping = client.value().call(Opcode::kPing, "");
+    ASSERT_TRUE(ping.is_ok()) << ping.status().to_string();
+    EXPECT_TRUE(ping.value().ok());
+  };
+  // Warm up first, so allocator arenas the handler threads create are
+  // already mapped before the baseline.
+  for (int i = 0; i < 8; ++i) ping_once();
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+
+  // Each connection gets its own handler thread. One that is never joined
+  // keeps its stack mapped, so 64 sequential connections would grow the
+  // process by ~64 stacks.
+  const std::uint64_t before_kib = vm_size_kib();
+  ASSERT_GT(before_kib, 0U);
+  for (int i = 0; i < 64; ++i) ping_once();
+  // The accept loop joins finished handlers on its next turn (at most
+  // 100 ms away); give the last ones time to go.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t after_kib = vm_size_kib();
+  const std::uint64_t grown =
+      after_kib > before_kib ? after_kib - before_kib : 0;
+  EXPECT_LT(grown * 1024, 16 * stack_bytes)
+      << "VmSize grew by " << grown << " KiB over 64 connections";
+  stop_router();
 }
 
 TEST(ClientConnectRetryTest, ConnectRetriesThroughDaemonStartupRace) {

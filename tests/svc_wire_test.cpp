@@ -300,5 +300,61 @@ TEST(WireTest, Version1FramesStillAccepted) {
             DecodeOutcome::kBadVersion);
 }
 
+WatchPushFrame push_frame(std::uint64_t iteration, bool delta,
+                          std::vector<std::uint64_t> indices) {
+  WatchPushFrame frame;
+  frame.iteration = iteration;
+  frame.delta = delta;
+  for (const std::uint64_t index : indices) {
+    frame.entries.push_back({index, {index * 3 + 1, ~index}});
+  }
+  return frame;
+}
+
+std::vector<std::uint8_t> encoded(const WatchPushFrame& frame) {
+  std::vector<std::uint8_t> out;
+  encode_watch_push(out, frame);
+  return out;
+}
+
+TEST(WatchPushCodecTest, FullAndDeltaFramesRoundTrip) {
+  for (const bool delta : {false, true}) {
+    const WatchPushFrame sent = push_frame(delta ? 12 : 10, delta, {0, 2, 9});
+    const std::vector<std::uint8_t> payload = encoded(sent);
+    ASSERT_EQ(payload.size(), kWatchPushHeaderBytes + 3 * kWatchPushEntryBytes);
+    const auto got = decode_watch_push(payload, 16);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got.value().iteration, sent.iteration);
+    EXPECT_EQ(got.value().delta, delta);
+    EXPECT_EQ(got.value().entries, sent.entries);
+  }
+}
+
+TEST(WatchPushCodecTest, RejectsEveryMalformedPayload) {
+  const std::vector<std::uint8_t> good = encoded(push_frame(4, true, {1, 5}));
+  auto rejected = [](std::span<const std::uint8_t> payload,
+                     std::uint64_t max_entries) {
+    const auto got = decode_watch_push(payload, max_entries);
+    return !got.is_ok() &&
+           got.status().code() == repro::StatusCode::kInvalidArgument;
+  };
+  ASSERT_FALSE(rejected(good, 2));
+
+  // Truncated header.
+  EXPECT_TRUE(rejected(std::span(good).first(kWatchPushHeaderBytes - 1), 2));
+  // Zero entries.
+  EXPECT_TRUE(rejected(encoded(push_frame(4, true, {})), 2));
+  // More entries than the cap.
+  EXPECT_TRUE(rejected(good, 1));
+  // A count that disagrees with the payload size, short and long.
+  EXPECT_TRUE(rejected(std::span(good).first(good.size() - 1), 2));
+  std::vector<std::uint8_t> padded = good;
+  padded.push_back(0);
+  EXPECT_TRUE(rejected(padded, 2));
+  // Node indices that do not strictly ascend.
+  EXPECT_TRUE(rejected(encoded(push_frame(4, true, {5, 1})), 2));
+  EXPECT_TRUE(rejected(encoded(push_frame(4, true, {3, 3})), 2));
+}
+
 }  // namespace
 }  // namespace repro::svc
