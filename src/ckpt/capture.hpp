@@ -86,9 +86,9 @@ class CaptureEngine {
   std::filesystem::path local_dir_;
   HistoryCatalog catalog_;
   CaptureOptions options_;
-  /// Level-1 local writes. One thread per engine, not per capture: with
-  /// tracing on, every fresh thread would keep its own span ring (~4 MiB)
-  /// allocated for the rest of the process.
+  /// Level-1 local writes. One thread per engine, not per capture: a thread
+  /// started per hand-off cost ~16 µs against ~5 µs for the pooled hand-off
+  /// (docs/PERF.md §8).
   par::ThreadPool writer_{1};
   par::ThreadPool flusher_{1};  ///< background flush thread (one, ordered)
   mutable std::mutex mu_;       ///< guards stats_ and flush_status_

@@ -380,7 +380,6 @@ repro::Result<DeltaStore> DeltaStore::load(std::filesystem::path root,
                               std::move(options)));
   // One directory scan collects tree sidecars, data files, and stray
   // mid-publish temp files (crash between temp write and rename).
-  std::error_code ec;
   std::vector<std::uint64_t> tree_iters;
   std::map<std::uint64_t, bool> data_iters;  // iteration -> is_base
   const auto parse_iter = [](std::string_view name, std::size_t prefix,
@@ -392,30 +391,33 @@ repro::Result<DeltaStore> DeltaStore::load(std::filesystem::path root,
     const auto [ptr, parse_ec] = std::from_chars(begin, end, *out);
     return parse_ec == std::errc{} && ptr == end;
   };
-  for (const auto& entry :
-       std::filesystem::directory_iterator(store.dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.find(".tmp-") != std::string::npos) {
-      // Torn publish from a crash mid-write: the rename never happened, so
-      // the content is unreferenced. Remove it.
-      REPRO_LOG_WARN << "delta store: removing stray temp publish " << name;
-      std::error_code rm_ec;
-      std::filesystem::remove(entry.path(), rm_ec);
-      continue;
-    }
-    std::uint64_t iteration = 0;
-    if (name.starts_with("iter") && name.ends_with(".rmrk")) {
-      if (parse_iter(name, 4, 5, &iteration)) tree_iters.push_back(iteration);
-    } else if (name.starts_with("base.iter") && name.ends_with(".rdlt")) {
-      if (parse_iter(name, 9, 5, &iteration)) data_iters[iteration] = true;
-    } else if (name.starts_with("delta.iter") && name.ends_with(".rdlt")) {
-      if (parse_iter(name, 10, 5, &iteration)) data_iters[iteration] = false;
-    }
-  }
-  if (ec) {
-    return repro::io_error("scanning " + store.dir_.string() + ": " +
-                           ec.message());
-  }
+  REPRO_RETURN_IF_ERROR(repro::for_each_entry(
+      store.dir_, [&](const std::filesystem::directory_entry& entry) {
+        const std::string name = entry.path().filename().string();
+        if (name.find(".tmp-") != std::string::npos) {
+          // Torn publish from a crash mid-write: the rename never happened,
+          // so the content is unreferenced. Remove it.
+          REPRO_LOG_WARN << "delta store: removing stray temp publish "
+                         << name;
+          std::error_code rm_ec;
+          std::filesystem::remove(entry.path(), rm_ec);
+          return repro::Status::ok();
+        }
+        std::uint64_t iteration = 0;
+        if (name.starts_with("iter") && name.ends_with(".rmrk")) {
+          if (parse_iter(name, 4, 5, &iteration)) {
+            tree_iters.push_back(iteration);
+          }
+        } else if (name.starts_with("base.iter") && name.ends_with(".rdlt")) {
+          if (parse_iter(name, 9, 5, &iteration)) data_iters[iteration] = true;
+        } else if (name.starts_with("delta.iter") &&
+                   name.ends_with(".rdlt")) {
+          if (parse_iter(name, 10, 5, &iteration)) {
+            data_iters[iteration] = false;
+          }
+        }
+        return repro::Status::ok();
+      }));
   std::sort(tree_iters.begin(), tree_iters.end());
 
   // Trust an iteration only when its sidecar AND data file both exist and

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 
+#include "common/fs.hpp"
+
 namespace repro::ckpt {
 
 namespace {
@@ -15,6 +17,27 @@ bool parse_tagged(std::string_view text, std::string_view prefix,
   const auto* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(begin, end, *out);
   return ec == std::errc{} && ptr == end;
+}
+
+/// Whether a listed entry is a directory (symlinks followed), from the type
+/// the scan cached where it can. A dangling symlink is not one; any other
+/// failed probe (a symlink loop, a target it may not search) is an error
+/// that names the entry.
+repro::Result<bool> entry_is_directory(
+    const std::filesystem::directory_entry& entry) {
+  std::error_code ec;
+  const bool directory = entry.is_directory(ec);
+  if (ec && ec != std::errc::no_such_file_or_directory &&
+      ec != std::errc::not_a_directory) {
+    return repro::io_error("probing " + entry.path().string() + ": " +
+                           ec.message());
+  }
+  return directory;
+}
+
+/// A checkpoint's (iteration, rank) slot, the order every list is kept in.
+std::pair<std::uint64_t, std::uint32_t> slot(const CheckpointRef& ref) {
+  return {ref.iteration, ref.rank};
 }
 
 }  // namespace
@@ -48,78 +71,76 @@ repro::Result<CheckpointRef> HistoryCatalog::make_ref(
 
 repro::Result<std::vector<std::string>> HistoryCatalog::runs() const {
   std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(root_, ec)) {
-    if (entry.is_directory()) out.push_back(entry.path().filename().string());
-  }
-  if (ec) {
-    return repro::io_error("scanning " + root_.string() + ": " + ec.message());
-  }
+  REPRO_RETURN_IF_ERROR(repro::for_each_entry(
+      root_, [&](const std::filesystem::directory_entry& entry) {
+        REPRO_ASSIGN_OR_RETURN(const bool directory,
+                               entry_is_directory(entry));
+        if (directory) out.push_back(entry.path().filename().string());
+        return repro::Status::ok();
+      }));
   std::sort(out.begin(), out.end());
   return out;
 }
 
 repro::Result<std::vector<CheckpointRef>> HistoryCatalog::checkpoints(
     const std::string& run_id) const {
-  const auto run_dir = root_ / run_id;
-  if (!std::filesystem::is_directory(run_dir)) {
-    return repro::not_found("no run directory: " + run_dir.string());
-  }
   std::vector<CheckpointRef> out;
-  std::error_code ec;
-  for (const auto& iter_entry :
-       std::filesystem::directory_iterator(run_dir, ec)) {
-    if (!iter_entry.is_directory()) continue;
+  const auto add_iteration = [&](const std::filesystem::directory_entry&
+                                     iter_entry) -> repro::Status {
     std::uint64_t iteration = 0;
     if (!parse_tagged(iter_entry.path().filename().string(), "iter",
                       &iteration)) {
-      continue;
+      return repro::Status::ok();
     }
-    for (const auto& rank_entry :
-         std::filesystem::directory_iterator(iter_entry.path())) {
-      const auto filename = rank_entry.path().filename().string();
-      if (!filename.ends_with(".ckpt")) continue;
-      std::uint64_t rank = 0;
-      if (!parse_tagged(filename.substr(0, filename.size() - 5), "rank",
-                        &rank)) {
-        continue;
-      }
-      out.push_back(ref(run_id, iteration, static_cast<std::uint32_t>(rank)));
-    }
+    REPRO_ASSIGN_OR_RETURN(const bool directory,
+                           entry_is_directory(iter_entry));
+    if (!directory) return repro::Status::ok();
+    const repro::Status listed = repro::for_each_entry(
+        iter_entry.path(), [&](const std::filesystem::directory_entry& entry) {
+          const auto filename = entry.path().filename().string();
+          std::uint64_t rank = 0;
+          if (filename.ends_with(".ckpt") &&
+              parse_tagged(filename.substr(0, filename.size() - 5), "rank",
+                           &rank)) {
+            out.push_back(
+                ref(run_id, iteration, static_cast<std::uint32_t>(rank)));
+          }
+          return repro::Status::ok();
+        });
+    // An iteration directory gone by the time it is listed holds nothing,
+    // like a dangling link; only the run directory's absence is NOT_FOUND.
+    return listed.code() == repro::StatusCode::kNotFound ? repro::Status::ok()
+                                                         : listed;
+  };
+  const auto run_dir = root_ / run_id;
+  const repro::Status scanned = repro::for_each_entry(run_dir, add_iteration);
+  if (scanned.code() == repro::StatusCode::kNotFound) {
+    return repro::not_found("no run directory: " + run_dir.string());
   }
-  if (ec) {
-    return repro::io_error("scanning " + run_dir.string() + ": " +
-                           ec.message());
-  }
+  REPRO_RETURN_IF_ERROR(scanned);
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.iteration, a.rank) < std::tie(b.iteration, b.rank);
+    return slot(a) < slot(b);
   });
   return out;
 }
 
 repro::Result<std::vector<CheckpointPair>> HistoryCatalog::pair_runs(
     const std::string& run_a, const std::string& run_b) const {
-  REPRO_ASSIGN_OR_RETURN(const std::vector<CheckpointRef> list_a,
-                         checkpoints(run_a));
-  REPRO_ASSIGN_OR_RETURN(const std::vector<CheckpointRef> list_b,
-                         checkpoints(run_b));
-  if (list_a.size() != list_b.size()) {
-    return repro::failed_precondition(
-        "histories differ in checkpoint count (" +
-        std::to_string(list_a.size()) + " vs " + std::to_string(list_b.size()) +
-        ")");
-  }
-  std::vector<CheckpointPair> pairs;
-  pairs.reserve(list_a.size());
-  for (std::size_t i = 0; i < list_a.size(); ++i) {
-    if (list_a[i].iteration != list_b[i].iteration ||
-        list_a[i].rank != list_b[i].rank) {
-      return repro::failed_precondition(
-          "histories are not aligned at entry " + std::to_string(i));
-    }
-    pairs.push_back({list_a[i], list_b[i]});
-  }
-  return pairs;
+  REPRO_ASSIGN_OR_RETURN(PairingReport pairing,
+                         pair_runs_lenient(run_a, run_b));
+  if (!pairing.ragged()) return std::move(pairing.pairs);
+  // Name the first one-sided checkpoint in (iteration, rank) order.
+  const auto& only_a = pairing.only_in_a;
+  const auto& only_b = pairing.only_in_b;
+  const CheckpointRef& first =
+      only_b.empty() || (!only_a.empty() && slot(only_a[0]) < slot(only_b[0]))
+          ? only_a[0]
+          : only_b[0];
+  return repro::failed_precondition(
+      "histories are not aligned: iter" + std::to_string(first.iteration) +
+      "/rank" + std::to_string(first.rank) + " exists only in run " +
+      first.run_id + " (one-sided checkpoints: " +
+      std::to_string(only_a.size() + only_b.size()) + ")");
 }
 
 repro::Result<PairingReport> HistoryCatalog::pair_runs_lenient(
@@ -132,17 +153,15 @@ repro::Result<PairingReport> HistoryCatalog::pair_runs_lenient(
   // Both lists are sorted by (iteration, rank): a single merge pass splits
   // them into matched pairs and one-sided leftovers.
   PairingReport report;
+  report.pairs.reserve(std::min(list_a.size(), list_b.size()));
   std::size_t ia = 0;
   std::size_t ib = 0;
-  const auto key = [](const CheckpointRef& ref) {
-    return std::make_pair(ref.iteration, ref.rank);
-  };
   while (ia < list_a.size() && ib < list_b.size()) {
-    if (key(list_a[ia]) == key(list_b[ib])) {
+    if (slot(list_a[ia]) == slot(list_b[ib])) {
       report.pairs.push_back({list_a[ia], list_b[ib]});
       ++ia;
       ++ib;
-    } else if (key(list_a[ia]) < key(list_b[ib])) {
+    } else if (slot(list_a[ia]) < slot(list_b[ib])) {
       report.only_in_a.push_back(list_a[ia++]);
     } else {
       report.only_in_b.push_back(list_b[ib++]);

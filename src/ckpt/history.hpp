@@ -26,8 +26,10 @@ struct CheckpointRef {
   std::filesystem::path checkpoint_path;
   std::filesystem::path metadata_path;  ///< may not exist (no tree captured)
 
+  /// False also when the sidecar cannot be probed.
   [[nodiscard]] bool has_metadata() const {
-    return std::filesystem::exists(metadata_path);
+    std::error_code ec;
+    return std::filesystem::exists(metadata_path, ec);
   }
 };
 
@@ -77,9 +79,10 @@ class HistoryCatalog {
   [[nodiscard]] repro::Result<std::vector<CheckpointRef>> checkpoints(
       const std::string& run_id) const;
 
-  /// Pair two runs' histories. Errors if the histories do not cover the
-  /// same (iteration, rank) set — the paper's model assumes aligned
-  /// capture schedules.
+  /// Pair two runs' histories: pair_runs_lenient's merge, refused with
+  /// FAILED_PRECONDITION (naming the first one-sided checkpoint) unless
+  /// both runs cover the same (iteration, rank) set — the paper's model
+  /// assumes aligned capture schedules.
   [[nodiscard]] repro::Result<std::vector<CheckpointPair>> pair_runs(
       const std::string& run_a, const std::string& run_b) const;
 

@@ -980,10 +980,15 @@ int cmd_delta(const Args& args) {
     // load() only recovers iteration numbers, not historical stats; report
     // what is recoverable: the iteration list and on-disk footprint.
     std::uint64_t on_disk = 0;
-    for (const auto& entry : std::filesystem::recursive_directory_iterator(
-             root / run / ("rank" + std::to_string(rank)))) {
-      if (entry.is_regular_file()) on_disk += entry.file_size();
-    }
+    const repro::Status scanned = repro::for_each_entry(
+        root / run / ("rank" + std::to_string(rank)),
+        [&](const std::filesystem::directory_entry& entry) {
+          std::error_code ec;
+          const std::uintmax_t size = entry.file_size(ec);  // files only
+          if (!ec) on_disk += size;
+          return repro::Status::ok();
+        });
+    if (!scanned.is_ok()) return fail(scanned);
     std::printf("delta store %s/%s/rank%llu: %zu iterations (%zu anchors), "
                 "%s on disk\n",
                 root.c_str(), run.c_str(),

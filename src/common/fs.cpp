@@ -252,6 +252,30 @@ Result<FileIdentity> file_identity(const std::filesystem::path& path) {
   return identity;
 }
 
+Result<bool> path_exists(const std::filesystem::path& path) {
+  const Result<FileIdentity> identity = file_identity(path);
+  if (identity.is_ok()) return true;
+  if (identity.status().code() == StatusCode::kNotFound) return false;
+  return identity.status();
+}
+
+Status for_each_entry(
+    const std::filesystem::path& dir,
+    const std::function<Status(const std::filesystem::directory_entry&)>&
+        visit) {
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    REPRO_RETURN_IF_ERROR(visit(*it));
+  }
+  if (ec == std::errc::no_such_file_or_directory ||
+      ec == std::errc::not_a_directory) {
+    return not_found("no directory: " + dir.string());
+  }
+  if (ec) return io_error("scanning " + dir.string() + ": " + ec.message());
+  return Status::ok();
+}
+
 Status evict_page_cache(const std::filesystem::path& path) {
   Fd fd(::open(path.c_str(), O_RDONLY));
   if (!fd.ok()) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -74,6 +75,20 @@ struct FileIdentity {
 
 /// One stat of `path`; NOT_FOUND when nothing is there.
 Result<FileIdentity> file_identity(const std::filesystem::path& path);
+
+/// Whether anything is at `path` (symlinks followed), from one stat:
+/// false when nothing is there, and an IO_ERROR that names the path when
+/// the stat itself fails (a symlink loop, a parent it may not search).
+Result<bool> path_exists(const std::filesystem::path& path);
+
+/// Calls `visit` on each entry of directory `dir`, in the order the OS
+/// lists them, and stops at the first error it returns. A scan that fails
+/// is NOT_FOUND when `dir` is missing or not a directory, and an IO_ERROR
+/// that names it otherwise.
+Status for_each_entry(
+    const std::filesystem::path& dir,
+    const std::function<Status(const std::filesystem::directory_entry&)>&
+        visit);
 
 /// Drop `path`'s pages from the OS page cache (POSIX_FADV_DONTNEED after
 /// fsync) so a following read is cold, mirroring the paper's `vmtouch -e`.

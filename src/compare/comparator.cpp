@@ -112,7 +112,11 @@ repro::Status load_tree(Side& side, const std::filesystem::path& metadata_path,
   if (metadata) {
     REPRO_ASSIGN_OR_RETURN(pinned, metadata(metadata_path));
   }
-  if (!pinned.valid() && std::filesystem::exists(metadata_path)) {
+  bool sidecar_present = false;
+  if (!pinned.valid()) {
+    REPRO_ASSIGN_OR_RETURN(sidecar_present, repro::path_exists(metadata_path));
+  }
+  if (sidecar_present) {
     // Sidecars map straight into place — the deserialize phase only
     // resolves the tree view (the Figure-6 breakdown shows it as ~0).
     merkle::MappedBundle opened;
@@ -411,7 +415,7 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
     for (const auto& path :
          {pair.run_a.checkpoint_path, pair.run_b.checkpoint_path,
           pair.run_a.metadata_path, pair.run_b.metadata_path}) {
-      if (std::filesystem::exists(path)) {
+      if (repro::path_exists(path).value_or(false)) {
         const repro::Status status = repro::evict_page_cache(path);
         if (!status.is_ok()) {
           REPRO_LOG_WARN << "cache eviction failed: " << status.to_string();
@@ -459,11 +463,13 @@ repro::Result<CompareReport> compare_pair(const ckpt::CheckpointPair& pair,
 }
 
 std::filesystem::path sidecar_for(const std::filesystem::path& checkpoint) {
+  // A failed probe reads as "not there"; compare_pair's own probe of the
+  // chosen path then reports the failure.
   std::filesystem::path appended = checkpoint.string() + ".rmrk";
-  if (std::filesystem::exists(appended)) return appended;
+  if (repro::path_exists(appended).value_or(false)) return appended;
   std::filesystem::path replaced = checkpoint;
   replaced.replace_extension(".rmrk");
-  if (std::filesystem::exists(replaced)) return replaced;
+  if (repro::path_exists(replaced).value_or(false)) return replaced;
   return appended;  // default target when neither exists yet
 }
 

@@ -32,9 +32,8 @@ merkle::TreeParams params_for(const FieldCompareOptions& options,
 repro::Result<merkle::MappedBundle> load_or_build_bundle(
     Side& side, const std::filesystem::path& bundle_path,
     const FieldCompareOptions& options, CompareReport& setup) {
-  if (std::filesystem::exists(bundle_path)) {
-    return merkle::MappedBundle::open(bundle_path);
-  }
+  REPRO_ASSIGN_OR_RETURN(const bool present, repro::path_exists(bundle_path));
+  if (present) return merkle::MappedBundle::open(bundle_path);
   if (!options.compare.build_metadata_if_missing) {
     return repro::not_found("no metadata bundle at " + bundle_path.string());
   }

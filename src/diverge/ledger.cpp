@@ -5,15 +5,13 @@
 
 #include "common/build_info.hpp"
 #include "common/fs.hpp"
-#include "telemetry/json.hpp"
+#include "common/json.hpp"
 #include "telemetry/json_parse.hpp"
 
 namespace repro::diverge {
 
 namespace {
 
-using telemetry::json_append_number;
-using telemetry::json_append_string;
 using telemetry::JsonValue;
 
 void append_record_json(std::string& out, const LedgerRecord& record) {

@@ -4,15 +4,12 @@
 #include <map>
 #include <set>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
-#include "telemetry/json.hpp"
 
 namespace repro::diverge {
 
 namespace {
-
-using telemetry::json_append_number;
-using telemetry::json_append_string;
 
 /// Worst-rank aggregation of one (iteration, field) cell.
 struct Cell {

@@ -576,7 +576,8 @@ repro::Result<MappedBundle> MappedBundle::open(
     return bundle;
   }
   // Missing files stay hard errors; only the map step degrades to a read.
-  if (!std::filesystem::exists(path)) {
+  REPRO_ASSIGN_OR_RETURN(const bool present, repro::path_exists(path));
+  if (!present) {
     return repro::not_found("no merkle sidecar at " + path.string());
   }
   FlatMetrics::get().heap_fallbacks.increment();

@@ -23,6 +23,7 @@
 #include "common/log.hpp"
 #include "common/timer.hpp"
 #include "common/build_info.hpp"
+#include "common/fs.hpp"
 #include "merkle/nodestore.hpp"
 #include "par/thread_pool.hpp"
 #include "svc/log_file.hpp"
@@ -1084,11 +1085,19 @@ struct Server::Impl {
           error_payload("COMPARE needs file_a/file_b or root/run_a/run_b");
       return;
     }
-    if (!std::filesystem::exists(pair.run_a.checkpoint_path) ||
-        !std::filesystem::exists(pair.run_b.checkpoint_path)) {
-      done->status = WireStatus::kNotFound;
-      done->payload = error_payload("checkpoint not found");
-      return;
+    for (const auto* checkpoint :
+         {&pair.run_a.checkpoint_path, &pair.run_b.checkpoint_path}) {
+      const repro::Result<bool> present = repro::path_exists(*checkpoint);
+      if (!present.is_ok()) {
+        done->status = wire_status_for(present.status());
+        done->payload = error_payload(present.status().to_string());
+        return;
+      }
+      if (!present.value()) {
+        done->status = WireStatus::kNotFound;
+        done->payload = error_payload("checkpoint not found");
+        return;
+      }
     }
 
     std::vector<bool> hits;

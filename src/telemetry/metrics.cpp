@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "telemetry/json.hpp"
+#include "common/json.hpp"
 
 namespace repro::telemetry {
 

@@ -2,7 +2,7 @@
 
 #include "common/build_info.hpp"
 #include "common/fs.hpp"
-#include "telemetry/json.hpp"
+#include "common/json.hpp"
 
 namespace repro::telemetry {
 

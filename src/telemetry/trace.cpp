@@ -7,7 +7,7 @@
 #include <random>
 
 #include "common/fs.hpp"
-#include "telemetry/json.hpp"
+#include "common/json.hpp"
 
 namespace repro::telemetry {
 
@@ -69,8 +69,9 @@ std::size_t ring_capacity() noexcept {
 
 /// Per-thread span ring. The owning thread pushes under `mu` (uncontended
 /// in steady state); flush/clear lock the same mutex from the reader side.
-/// The ring storage is allocated lazily on the first span so threads that
-/// never trace (or runs with tracing off) pay only this struct.
+/// A thread registers its buffer with its first span, and the ring grows
+/// with the spans it holds up to ring_capacity(): a thread that records no
+/// span is not in the trace, and a short-lived one keeps only its spans.
 struct TraceBuffer {
   std::mutex mu;
   std::vector<TraceEvent> ring;
@@ -81,7 +82,7 @@ struct TraceBuffer {
   void push(std::string_view span_name, std::uint64_t begin_ns,
             std::uint64_t end_ns, std::string_view args_json,
             const SpanIds& ids) {
-    if (ring.empty()) ring.resize(ring_capacity());
+    if (ring.size() < ring_capacity()) ring.emplace_back();
     TraceEvent& event = ring[recorded % ring.size()];
     event.begin_ns = begin_ns;
     event.end_ns = end_ns;
@@ -99,6 +100,8 @@ struct TraceBuffer {
 namespace {
 
 thread_local TraceBuffer* t_buffer = nullptr;
+/// The calling thread's name until its first span registers its buffer.
+thread_local std::string t_thread_name;
 
 }  // namespace
 
@@ -114,6 +117,7 @@ detail::TraceBuffer& Tracer::thread_buffer() {
     std::lock_guard<std::mutex> lock(mu_);
     auto buffer = std::make_unique<detail::TraceBuffer>();
     buffer->tid = buffers_.size();
+    buffer->name = std::move(detail::t_thread_name);
     detail::t_buffer = buffer.get();
     buffers_.push_back(std::move(buffer));
   }
@@ -121,9 +125,12 @@ detail::TraceBuffer& Tracer::thread_buffer() {
 }
 
 void Tracer::set_thread_name(std::string_view name) {
-  detail::TraceBuffer& buffer = thread_buffer();
-  std::lock_guard<std::mutex> lock(buffer.mu);
-  buffer.name.assign(name);
+  if (detail::t_buffer == nullptr) {
+    detail::t_thread_name.assign(name);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(detail::t_buffer->mu);
+  detail::t_buffer->name.assign(name);
 }
 
 void Tracer::record(std::string_view name, std::uint64_t begin_ns,

@@ -97,7 +97,7 @@ class Tracer {
   }
 
   /// Names the calling thread in trace output ("pool-3", "io-producer").
-  /// Cheap: does not allocate the thread's ring until its first span.
+  /// Cheap: the thread enters the trace only with its first span.
   void set_thread_name(std::string_view name);
 
   /// Spans currently buffered / overwritten because a ring filled up.

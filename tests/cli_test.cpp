@@ -183,6 +183,19 @@ TEST_F(CliTest, CompareMissingFileFailsCleanly) {
   EXPECT_NE(result.output.find("error:"), std::string::npos);
 }
 
+TEST_F(CliTest, HistoryOnAnUnreadableCatalogExitsTwo) {
+  // run a holds an `iter` entry that is a symlink loop: scanning it fails
+  // with ELOOP, which is a runtime error (2), not a crash.
+  std::filesystem::create_directories(dir_.path() / "a");
+  std::filesystem::create_directories(dir_.path() / "b");
+  const std::filesystem::path looping = dir_.path() / "a" / "iter5";
+  std::filesystem::create_symlink("iter5", looping);
+  const CommandResult result = run_cli("history " + pfs() + " a b");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find(looping.string()), std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, UsagePrintsExitCodeContract) {
   const CommandResult result = run_cli("");
   EXPECT_NE(result.output.find("exit codes"), std::string::npos)

@@ -473,5 +473,104 @@ TEST_F(ComparatorTest, RaggedHistoryWithMissingSidecarsStillCompares) {
   EXPECT_FALSE(history.value().first_divergent_iteration.has_value());
 }
 
+// ---- multi-rank histories: the paper's (iteration, rank) pair worklist ----
+
+class MultiRankHistoryTest : public ::testing::Test {
+ protected:
+  MultiRankHistoryTest() : dir_{"multi-rank-history"}, catalog_{dir_.path()} {}
+
+  /// Iterations 10/20/30 x `ranks` ranks of 10 000 F32 values; run b
+  /// diverges from `divergent_iteration` on. truth_ sums the exceedances.
+  void make_history(std::uint32_t ranks, std::uint64_t divergent_iteration) {
+    const auto params = tree_params(1e-5);
+    for (const std::uint64_t iteration : {10U, 20U, 30U}) {
+      for (std::uint32_t rank = 0; rank < ranks; ++rank) {
+        auto values = sim::generate_field(10000, iteration * 100 + rank);
+        for (const char* run : {"a", "b"}) {
+          auto data = values;
+          if (std::string{run} == "b" && iteration >= divergent_iteration) {
+            sim::apply_divergence(
+                data, {.region_fraction = 0.05, .region_values = 100,
+                       .magnitude = 1e-3, .seed = iteration + rank});
+            truth_ += sim::count_exceeding(values, data, 1e-5);
+          }
+          const auto ref = catalog_.make_ref(run, iteration, rank);
+          ASSERT_TRUE(ref.is_ok());
+          ckpt::CheckpointWriter writer("test", run, iteration, rank);
+          ASSERT_TRUE(writer.add_field_f32("X", data).is_ok());
+          ASSERT_TRUE(writer.write(ref.value().checkpoint_path).is_ok());
+          const auto tree = merkle::TreeBuilder(params, par::Exec::serial())
+                                .build(writer.data_section());
+          ASSERT_TRUE(tree.is_ok());
+          ASSERT_TRUE(merkle::save_flat(tree.value(),
+                                        ref.value().metadata_path)
+                          .is_ok());
+        }
+      }
+    }
+  }
+
+  static HistoryOptions history_options(par::Exec exec) {
+    HistoryOptions opts;
+    opts.pair_options.error_bound = 1e-5;
+    opts.pair_options.tree = tree_params(1e-5);
+    opts.pair_options.backend = io::BackendKind::kPread;
+    opts.pair_options.exec = exec;
+    opts.pair_options.tree_compare.exec = exec;
+    return opts;
+  }
+
+  repro::TempDir dir_;
+  ckpt::HistoryCatalog catalog_;
+  std::uint64_t truth_ = 0;
+};
+
+TEST_F(MultiRankHistoryTest, AggregatesMatchTruthSerialAndParallel) {
+  make_history(/*ranks=*/4, /*divergent_iteration=*/20);
+  for (const par::Exec& exec : {par::Exec::serial(), par::Exec::parallel()}) {
+    const auto history =
+        compare_histories(catalog_, "a", "b", history_options(exec));
+    ASSERT_TRUE(history.is_ok()) << history.status().to_string();
+    ASSERT_EQ(history.value().pairs.size(), 12U);
+    std::uint64_t exceeding = 0;
+    for (const auto& [pair, report] : history.value().pairs) {
+      exceeding += report.values_exceeding;
+    }
+    EXPECT_EQ(exceeding, truth_) << "serial: " << exec.is_serial();
+    ASSERT_TRUE(history.value().first_divergent_iteration.has_value());
+    EXPECT_EQ(*history.value().first_divergent_iteration, 20U);
+    ASSERT_TRUE(history.value().first_divergent_rank.has_value());
+    EXPECT_EQ(*history.value().first_divergent_rank, 0U);
+  }
+}
+
+TEST_F(MultiRankHistoryTest, CleanHistoriesReportNoDivergence) {
+  make_history(/*ranks=*/2, /*divergent_iteration=*/99);
+  const auto history = compare_histories(
+      catalog_, "a", "b", history_options(par::Exec::parallel()));
+  ASSERT_TRUE(history.is_ok()) << history.status().to_string();
+  EXPECT_EQ(history.value().pairs.size(), 6U);
+  EXPECT_FALSE(history.value().first_divergent_iteration.has_value());
+  std::uint64_t bytes_read = 0;
+  for (const auto& [pair, report] : history.value().pairs) {
+    bytes_read += report.bytes_read_per_file;
+  }
+  EXPECT_EQ(bytes_read, 0U);
+}
+
+TEST_F(MultiRankHistoryTest, CorruptCheckpointFailsStrictAndRagged) {
+  make_history(/*ranks=*/2, /*divergent_iteration=*/20);
+  // A pair in the middle of the worklist cannot be read.
+  const auto victim = catalog_.ref("b", 20, 1).checkpoint_path;
+  ASSERT_TRUE(
+      repro::write_file(victim, std::vector<std::uint8_t>(64, 0xFF)).is_ok());
+  for (const bool ragged : {false, true}) {
+    HistoryOptions opts = history_options(par::Exec::parallel());
+    opts.allow_ragged = ragged;
+    EXPECT_FALSE(compare_histories(catalog_, "a", "b", opts).is_ok())
+        << "ragged: " << ragged;
+  }
+}
+
 }  // namespace
 }  // namespace repro::cmp

@@ -128,6 +128,27 @@ TEST(PairRuns, MisalignedSchedulesRejected) {
             repro::StatusCode::kFailedPrecondition);
 }
 
+TEST(PairRuns, MismatchNamesTheOneSidedCheckpoint) {
+  // Same count, two one-sided slots: a's iteration 20 and b's (40, rank 1).
+  // The error names the first of them in (iteration, rank) order.
+  repro::TempDir dir{"history-test"};
+  HistoryCatalog catalog{dir.path()};
+  for (const std::uint64_t iteration : {10U, 20U, 30U}) {
+    write_checkpoint(catalog, "a", iteration, 0);
+  }
+  write_checkpoint(catalog, "b", 10, 0);
+  write_checkpoint(catalog, "b", 30, 0);
+  write_checkpoint(catalog, "b", 40, 1);
+  const auto pairs = catalog.pair_runs("a", "b");
+  ASSERT_EQ(pairs.status().code(), repro::StatusCode::kFailedPrecondition);
+  const std::string& message = pairs.status().message();
+  EXPECT_NE(message.find("iter20/rank0 exists only in run a"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("one-sided checkpoints: 2"), std::string::npos)
+      << message;
+}
+
 TEST(PairRunsLenient, AlignedHistoriesHaveNoLeftovers) {
   repro::TempDir dir{"history-test"};
   HistoryCatalog catalog{dir.path()};

@@ -585,6 +585,53 @@ TEST_F(LoopbackTest, LegacySidecarGetsAnErrorReplyAndTheDaemonStaysUp) {
   stop_server();
 }
 
+TEST_F(LoopbackTest, UnprobeablePathsGetAnErrorReplyAndTheDaemonStaysUp) {
+  // A path whose stat fails with something other than "not there" (here a
+  // symlink loop, ELOOP): COMPARE on it, and TIMELINE / LOAD_RUN on a run
+  // holding such an `iter` entry, each answer an error that names the path.
+  const std::filesystem::path loop = dir_.file("loop");
+  std::filesystem::create_symlink("loop", loop);
+  const std::filesystem::path root = dir_.file("cat");
+  std::filesystem::create_directories(root / "a");
+  std::filesystem::create_directories(root / "b");
+  std::filesystem::create_symlink("iter5", root / "a" / "iter5");
+
+  ServerOptions opts = base_options();
+  opts.workers = 1;
+  start_server(std::move(opts));
+  auto client = connect_client();
+  ASSERT_TRUE(client.is_ok());
+
+  auto reply = client.value().call(Opcode::kCompare,
+                                   compare_request(loop, loop));
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_FALSE(reply.value().ok());
+  EXPECT_NE(reply.value().payload.find(loop.string()), std::string::npos)
+      << reply.value().payload;
+
+  const std::string looping_iter = (root / "a" / "iter5").string();
+  reply = client.value().call(Opcode::kTimeline,
+                              "{\"root\":\"" + root.string() +
+                                  "\",\"run_a\":\"a\",\"run_b\":\"b\"}");
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_FALSE(reply.value().ok());
+  EXPECT_NE(reply.value().payload.find(looping_iter), std::string::npos)
+      << reply.value().payload;
+
+  reply = client.value().call(
+      Opcode::kLoadRun, "{\"root\":\"" + root.string() + "\",\"run\":\"a\"}");
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_FALSE(reply.value().ok());
+  EXPECT_NE(reply.value().payload.find(looping_iter), std::string::npos)
+      << reply.value().payload;
+
+  auto ping = client.value().call(Opcode::kPing, "");
+  ASSERT_TRUE(ping.is_ok()) << ping.status().to_string();
+  EXPECT_TRUE(ping.value().ok());
+
+  stop_server();
+}
+
 TEST_F(LoopbackTest, OversizedFrameRejectedWithEchoedRequestId) {
   ServerOptions opts = base_options();
   opts.max_frame_bytes = 4096;

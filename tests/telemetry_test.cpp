@@ -11,9 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "telemetry/json.hpp"
+#include "common/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
+#include "telemetry/resource_sampler.hpp"
 #include "telemetry/trace.hpp"
 
 namespace repro::telemetry {
@@ -483,6 +484,38 @@ TEST_F(TracerTest, DisabledCounterRecordingIsDropped) {
   EXPECT_EQ(Tracer::global().counter_count(), 1u);
   Tracer::global().clear();
   EXPECT_EQ(Tracer::global().counter_count(), 0u);
+}
+
+TEST_F(TracerTest, ShortLivedTracedThreadsKeepOnlyTheSpansTheyRecord) {
+  // A thread's ring holds what it recorded, not a full-capacity reservation:
+  // 64 threads of one span each must not keep 64 full rings resident.
+  const double rss_before = sample_process_resources().rss_bytes;
+  ASSERT_GT(rss_before, 0);
+  Tracer::global().set_enabled(true);
+  for (int i = 0; i < 64; ++i) {
+    std::thread([] {
+      Tracer::global().set_thread_name("short-lived");
+      TraceSpan span("short.task");
+    }).join();
+  }
+  Tracer::global().set_enabled(false);
+  EXPECT_EQ(Tracer::global().span_count(), 64u);
+  EXPECT_EQ(Tracer::global().dropped_spans(), 0u);
+  const double grown = sample_process_resources().rss_bytes - rss_before;
+  EXPECT_LT(grown, 64.0 * 1024 * 1024) << "VmRSS grew " << grown << " bytes";
+}
+
+TEST_F(TracerTest, NamedThreadWithoutSpansIsNotInTheTrace) {
+  Tracer::global().set_enabled(true);
+  std::thread([] { Tracer::global().set_thread_name("idle-namer"); }).join();
+  std::thread([] {
+    Tracer::global().set_thread_name("busy-namer");
+    TraceSpan span("busy.task");
+  }).join();
+  Tracer::global().set_enabled(false);
+  const std::string json = Tracer::global().chrome_trace_json();
+  EXPECT_EQ(json.find("idle-namer"), std::string::npos) << json;
+  EXPECT_NE(json.find("busy-namer"), std::string::npos) << json;
 }
 
 TEST_F(TracerTest, OversizedArgsTruncateOrDropButStayValidJson) {
