@@ -70,7 +70,13 @@ CaptureEngine::CaptureEngine(std::filesystem::path local_dir,
     : local_dir_(std::move(local_dir)),
       catalog_(std::move(catalog)),
       options_(std::move(options)) {
-  std::filesystem::create_directories(local_dir_);
+  std::error_code ec;
+  std::filesystem::create_directories(local_dir_, ec);
+  if (ec) {
+    local_dir_status_ = repro::io_error("cannot create local directory " +
+                                        local_dir_.string() + ": " +
+                                        ec.message());
+  }
 }
 
 CaptureEngine::~CaptureEngine() {
@@ -82,6 +88,7 @@ CaptureEngine::~CaptureEngine() {
 }
 
 repro::Status CaptureEngine::capture(const CheckpointWriter& writer) {
+  REPRO_RETURN_IF_ERROR(local_dir_status_);
   Stopwatch foreground;
   const CheckpointInfo& info = writer.info();
   telemetry::TraceSpan capture_span("capture.checkpoint");

@@ -69,7 +69,8 @@ class CaptureEngine {
   /// every path; `writer` is not used after that. A write error is returned
   /// before a build error, and after either no flush is enqueued. An
   /// exception in either half is returned as an internal error. With
-  /// build_metadata off it blocks for the write alone.
+  /// build_metadata off it blocks for the write alone. If the constructor
+  /// could not create `local_dir`, every capture returns that IO error.
   repro::Status capture(const CheckpointWriter& writer);
 
   /// Block until every enqueued flush has landed on the PFS.
@@ -84,6 +85,7 @@ class CaptureEngine {
 
  private:
   std::filesystem::path local_dir_;
+  repro::Status local_dir_status_;  ///< why local_dir_ is unusable, if it is
   HistoryCatalog catalog_;
   CaptureOptions options_;
   /// Level-1 local writes. One thread per engine, not per capture: a thread

@@ -249,6 +249,7 @@ int cmd_simulate(const Args& args) {
   ckpt::CaptureOptions capture_options;
   capture_options.tree = tree.value();
   repro::TempDir local{"repro-cli-local"};
+  if (!local.status().is_ok()) return fail(local.status());
   ckpt::CaptureEngine engine(local.path(), catalog, capture_options);
 
   sim::HaccLite app(config);

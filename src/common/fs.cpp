@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <mutex>
 #include <random>
 
@@ -296,13 +297,26 @@ TempDir::TempDir(std::string_view tag) {
   std::random_device rd;
   const std::uint64_t nonce =
       (static_cast<std::uint64_t>(rd()) << 32) ^ counter.fetch_add(1);
-  path_ = std::filesystem::temp_directory_path() /
-          (std::string{tag} + "-" + std::to_string(::getpid()) + "-" +
-           std::to_string(nonce));
-  std::filesystem::create_directories(path_);
+  std::error_code ec;
+  const std::filesystem::path base = std::filesystem::temp_directory_path(ec);
+  if (ec) {
+    const char* tmpdir = std::getenv("TMPDIR");
+    status_ = io_error("no usable temp directory (TMPDIR=" +
+                       std::string(tmpdir == nullptr ? "" : tmpdir) +
+                       "): " + ec.message());
+    return;
+  }
+  path_ = base / (std::string{tag} + "-" + std::to_string(::getpid()) + "-" +
+                  std::to_string(nonce));
+  std::filesystem::create_directories(path_, ec);
+  if (ec) {
+    status_ = io_error("creating temp directory " + path_.string() + ": " +
+                       ec.message());
+  }
 }
 
 TempDir::~TempDir() {
+  if (!status_.is_ok()) return;  // nothing was created
   std::error_code ec;
   std::filesystem::remove_all(path_, ec);
   if (ec) {

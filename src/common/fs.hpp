@@ -95,16 +95,20 @@ Status for_each_entry(
 Status evict_page_cache(const std::filesystem::path& path);
 
 /// Creates a unique directory under the system temp dir and removes it (and
-/// everything inside) on destruction. Used by tests and benches.
+/// everything inside) on destruction. Used by tests, benches and the CLI's
+/// node-local capture tier.
 class TempDir {
  public:
-  /// `tag` is embedded in the directory name for debuggability.
+  /// `tag` is embedded in the directory name for debuggability. A temp dir
+  /// that cannot be found or created is reported by status(), not thrown.
   explicit TempDir(std::string_view tag = "reprokit");
   ~TempDir();
 
   TempDir(const TempDir&) = delete;
   TempDir& operator=(const TempDir&) = delete;
 
+  /// Whether the directory exists; the error names the directory if not.
+  [[nodiscard]] const Status& status() const { return status_; }
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
   /// path() / relative.
@@ -114,6 +118,7 @@ class TempDir {
 
  private:
   std::filesystem::path path_;
+  Status status_;
 };
 
 }  // namespace repro

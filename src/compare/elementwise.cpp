@@ -27,20 +27,6 @@ void prune_to_smallest(std::vector<ElementDiff>* diffs,
   diffs->resize(max_diffs);
 }
 
-/// Runs block(lo, hi) over [0, count) in dynamically claimed blocks of at
-/// least kMinValuesPerClaim values; a single claim runs on the calling
-/// thread without touching the pool.
-template <typename Block>
-void for_claims(const par::Exec& exec, std::uint64_t count, Block&& block) {
-  const std::uint64_t grain =
-      std::max<std::uint64_t>(kMinValuesPerClaim, count / (8 * exec.ways()));
-  if (count <= grain) {
-    if (count > 0) block(std::uint64_t{0}, count);
-    return;
-  }
-  exec.for_blocks_dynamic(0, count, grain, std::forward<Block>(block));
-}
-
 template <typename Float>
 ElementwiseResult compare_typed(std::span<const std::uint8_t> run_a,
                                 std::span<const std::uint8_t> run_b,
@@ -64,23 +50,24 @@ ElementwiseResult compare_typed(std::span<const std::uint8_t> run_a,
     return std::abs(a - b) > eps;
   };
 
-  // Both paths: dynamically claimed blocks (chunk worklists skew per-block
-  // cost), counted by the batched ε-compare kernel.
+  // Both paths: claimed blocks of at least kMinValuesPerClaim values,
+  // counted by the batched ε-compare kernel.
   std::atomic<std::uint64_t> exceeding{0};
   const bool collecting = options.collect_diffs && diffs != nullptr;
   if (!collecting && !options.collect_stats) {
-    for_claims(options.exec, count, [&](std::uint64_t lo, std::uint64_t hi) {
-      exceeding.fetch_add(
-          hash::count_diffs(values_a + lo, values_b + lo, hi - lo, eps),
-          std::memory_order_relaxed);
-    });
+    options.exec.for_blocks(
+        0, count, kMinValuesPerClaim, [&](std::uint64_t lo, std::uint64_t hi) {
+          exceeding.fetch_add(
+              hash::count_diffs(values_a + lo, values_b + lo, hi - lo, eps),
+              std::memory_order_relaxed);
+        });
     result.values_exceeding = exceeding.load();
     return result;
   }
 
   std::mutex merge_mu;
-  for_claims(
-      options.exec, count, [&](std::uint64_t lo, std::uint64_t hi) {
+  options.exec.for_blocks(
+      0, count, kMinValuesPerClaim, [&](std::uint64_t lo, std::uint64_t hi) {
         // Count first with the kernel; only blocks with hits (or a stats
         // request, which needs every value) pay the scalar loop — most
         // blocks of a mostly-reproducible pair are clean.
@@ -89,8 +76,12 @@ ElementwiseResult compare_typed(std::span<const std::uint8_t> run_a,
         if (hits != 0) exceeding.fetch_add(hits, std::memory_order_relaxed);
         if (hits == 0 && !options.collect_stats) return;
 
+        // Indices ascend within a block, so a record past the block's first
+        // max_diffs could never survive the final prune: keep none of them.
+        const std::size_t keep = static_cast<std::size_t>(
+            std::min<std::uint64_t>(hits, options.max_diffs));
         std::vector<ElementDiff> local;
-        if (collecting) local.reserve(static_cast<std::size_t>(hits));
+        if (collecting) local.reserve(keep);
         double local_max = 0;
         double local_sq_diff = 0;
         double local_sq_ref = 0;
@@ -103,7 +94,7 @@ ElementwiseResult compare_typed(std::span<const std::uint8_t> run_a,
             local_sq_diff += diff * diff;
             local_sq_ref += a * a;
           }
-          if (collecting && hits != 0 && differs(a, b)) {
+          if (collecting && local.size() < keep && differs(a, b)) {
             local.push_back({base_value_index + i, a, b});
           }
         }
@@ -147,10 +138,16 @@ ElementwiseResult compare_region(std::span<const std::uint8_t> run_a,
       ElementwiseResult result;
       const std::uint64_t count = run_a.size();
       result.values_compared = count;
-      result.values_exceeding = options.exec.reduce_sum<std::uint64_t>(
-          0, count, [&](std::uint64_t i) {
-            return run_a[i] != run_b[i] ? std::uint64_t{1} : std::uint64_t{0};
-          });
+      std::atomic<std::uint64_t> exceeding{0};
+      auto count_block = [&](std::uint64_t lo, std::uint64_t hi) {
+        std::uint64_t hits = 0;
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          hits += run_a[i] != run_b[i] ? 1 : 0;
+        }
+        exceeding.fetch_add(hits, std::memory_order_relaxed);
+      };
+      options.exec.for_blocks(0, count, kMinBytesPerClaim, count_block);
+      result.values_exceeding = exceeding.load();
       if (options.collect_diffs && diffs != nullptr) {
         for (std::uint64_t i = 0;
              i < count && diffs->size() < options.max_diffs; ++i) {

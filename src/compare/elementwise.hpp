@@ -46,15 +46,15 @@ struct ElementwiseOptions {
   bool collect_stats = false;
 };
 
-/// Fewest values one dynamically claimed block of compare_region holds:
-/// 16 Ki F32 values are two 64 KiB buffers, ~8 µs of count_diffs at
-/// ~16 GB/s, the same order as waking a pool thread and joining it. A
-/// region of at most this many values (any stage-2 chunk up to 64 KiB) is
-/// one claim and runs on the calling thread; larger regions fan out with
-/// the executor's 8 claims per worker, never below this floor. Stage-2
-/// worklists skew per-block cost, so workers claim blocks from a shared
-/// counter instead of receiving one static slice each (docs/PERF.md §4).
+/// Fewest values one claim of compare_region holds for F32 and F64: 16 Ki
+/// F32 values are two 64 KiB buffers, ~8 µs of count_diffs at ~16 GB/s,
+/// the same order as waking a pool thread and joining it. A region of at
+/// most this many values (any stage-2 chunk up to 64 KiB) is one claim and
+/// runs on the calling thread; larger regions fan out (docs/PERF.md §4).
 inline constexpr std::uint64_t kMinValuesPerClaim = 16 * 1024;
+/// The same floor for kBytes regions: the same 64 KiB per claim.
+inline constexpr std::uint64_t kMinBytesPerClaim =
+    kMinValuesPerClaim * sizeof(float);
 
 /// Compare two equal-length byte regions holding `kind`-typed values with
 /// absolute bound `eps`. `base_value_index` offsets the reported indices so

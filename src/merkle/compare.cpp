@@ -104,16 +104,13 @@ repro::Result<std::vector<std::uint64_t>> compare_trees(
     ++local_stats.levels_traversed;
     local_stats.nodes_visited += frontier.size();
 
-    // Hash comparison of the whole frontier (the per-level kernel), on the
-    // pool only when the level is big enough to pay for the fan-out.
+    // Hash comparison of the whole frontier (the per-level kernel).
     mismatch.assign(frontier.size(), 0);
-    const par::Exec level_exec = frontier.size() < kParallelFrontierNodes
-                                     ? par::Exec::serial()
-                                     : options.exec;
-    level_exec.for_each(0, frontier.size(), [&](std::uint64_t i) {
-      const std::uint64_t node = frontier[i];
-      mismatch[i] = run_a.node(node) != run_b.node(node) ? 1 : 0;
-    });
+    options.exec.for_each(
+        0, frontier.size(), kMinNodesPerClaim, [&](std::uint64_t i) {
+          const std::uint64_t node = frontier[i];
+          mismatch[i] = run_a.node(node) != run_b.node(node) ? 1 : 0;
+        });
 
     // Serial compaction between levels (the only synchronization point).
     if (level == layout.depth) {

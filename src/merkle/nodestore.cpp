@@ -169,12 +169,11 @@ repro::Result<MerkleTree> apply_tree_delta(const MerkleTree& base,
 }
 
 repro::Result<MerkleTree> resolve_delta_chain(
-    const std::filesystem::path& path, ChainInfo* info) {
+    const std::filesystem::path& path) {
   // Walk differential links back to the anchor, collecting deltas newest
   // first, then replay them oldest first on the materialized anchor tree.
   std::vector<TreeDelta> chain;
   std::filesystem::path at = path;
-  ChainInfo shape;
   MerkleTree anchor;
   for (std::uint64_t hop = 0;; ++hop) {
     if (hop > kMaxChainHops) {
@@ -187,10 +186,6 @@ repro::Result<MerkleTree> resolve_delta_chain(
       // the delta is for incremental consumers, not needed to resolve).
       REPRO_ASSIGN_OR_RETURN(TreeView tree_view, bundle.sole_tree());
       REPRO_ASSIGN_OR_RETURN(anchor, tree_view.materialize());
-      if (bundle.view().has_delta()) {
-        REPRO_ASSIGN_OR_RETURN(TreeDelta delta, bundle.view().delta());
-        shape.anchor_iteration = delta.iteration;
-      }
       break;
     }
     if (!bundle.view().has_delta()) {
@@ -199,48 +194,14 @@ repro::Result<MerkleTree> resolve_delta_chain(
           at.string());
     }
     REPRO_ASSIGN_OR_RETURN(TreeDelta delta, bundle.view().delta());
-    shape.differential = true;
-    shape.anchor_iteration = delta.base_iteration;
     at = sibling_sidecar(path, delta.base_iteration);
     chain.push_back(std::move(delta));
   }
-  shape.chain_length = chain.size();
   MerkleTree tree = std::move(anchor);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     REPRO_ASSIGN_OR_RETURN(tree, apply_tree_delta(tree, *it));
   }
-  if (info != nullptr) *info = shape;
   return tree;
-}
-
-repro::Result<ChainInfo> probe_delta_chain(
-    const std::filesystem::path& path) {
-  ChainInfo shape;
-  std::filesystem::path at = path;
-  for (std::uint64_t hop = 0;; ++hop) {
-    if (hop > kMaxChainHops) {
-      return repro::corrupt_data("differential sidecar chain too long: " +
-                                 path.string());
-    }
-    REPRO_ASSIGN_OR_RETURN(MappedBundle bundle, MappedBundle::open(at));
-    if (bundle.view().size() >= 1) {
-      if (bundle.view().has_delta()) {
-        REPRO_ASSIGN_OR_RETURN(TreeDelta delta, bundle.view().delta());
-        shape.anchor_iteration = delta.iteration;
-      }
-      return shape;
-    }
-    if (!bundle.view().has_delta()) {
-      return repro::corrupt_data(
-          "sidecar holds neither trees nor a differential section: " +
-          at.string());
-    }
-    REPRO_ASSIGN_OR_RETURN(TreeDelta delta, bundle.view().delta());
-    shape.differential = true;
-    shape.anchor_iteration = delta.base_iteration;
-    ++shape.chain_length;
-    at = sibling_sidecar(path, delta.base_iteration);
-  }
 }
 
 }  // namespace repro::merkle

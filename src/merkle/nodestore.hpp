@@ -95,23 +95,11 @@ repro::Result<TreeDelta> compute_tree_delta(
 repro::Result<MerkleTree> apply_tree_delta(const MerkleTree& base,
                                            const TreeDelta& delta);
 
-/// How a sidecar chain resolved (and what the svc cache keys on).
-struct ChainInfo {
-  bool differential = false;        ///< true when any RMFD hop was replayed
-  std::uint64_t anchor_iteration = 0;  ///< iteration of the full-tree anchor
-  std::uint64_t chain_length = 0;      ///< deltas applied on top of anchor
-};
-
 /// Load the tree a sidecar describes, following differential links: a file
 /// holding a full tree resolves immediately; a delta-only file loads its
 /// base sidecar (`iter<base_iteration>.rmrk` next to it) and replays the
-/// chain, bounded by the strictly-decreasing base iterations. `info`, when
-/// non-null, receives the anchor/chain shape.
-repro::Result<MerkleTree> resolve_delta_chain(const std::filesystem::path& path,
-                                              ChainInfo* info = nullptr);
-
-/// Chain shape without materializing any tree: parses only headers/RMFD
-/// sections along the chain. Cheap enough for cache-key computation.
-repro::Result<ChainInfo> probe_delta_chain(const std::filesystem::path& path);
+/// chain, bounded by the strictly-decreasing base iterations.
+repro::Result<MerkleTree> resolve_delta_chain(
+    const std::filesystem::path& path);
 
 }  // namespace repro::merkle

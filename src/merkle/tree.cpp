@@ -51,6 +51,18 @@ hash::Digest128 padding_digest() noexcept {
   return digest;
 }
 
+namespace {
+
+/// An internal node's digest: Murmur3F over its two children's digests.
+void hash_children(hash::Digest128* nodes, std::uint64_t node) {
+  const hash::Digest128 pair[2] = {nodes[TreeLayout::left_child(node)],
+                                   nodes[TreeLayout::right_child(node)]};
+  nodes[node] = hash::murmur3f(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(pair), sizeof pair));
+}
+
+}  // namespace
+
 std::uint64_t MerkleTree::metadata_bytes() const noexcept {
   return flat_tree_bytes(nodes_.size());
 }
@@ -129,9 +141,8 @@ repro::Result<MerkleTree> TreeBuilder::build(
   auto* nodes = tree.nodes_.data();
 
   // Leaf level: every chunk hashed independently (Algorithm 1, first loop).
-  // Dynamically claimed: a short final chunk or NaN-heavy slow-path chunks
-  // would otherwise convoy the statically partitioned workers.
-  exec_.for_each_dynamic(0, num_chunks, leaf_grain_, [&](std::uint64_t chunk) {
+  // One chunk is tens of microseconds of hashing, so any two fan out.
+  exec_.for_each(0, num_chunks, 1, [&](std::uint64_t chunk) {
     nodes[layout.leaf_node(chunk)] = hash_chunk(data, tree, chunk);
   });
 
@@ -140,13 +151,8 @@ repro::Result<MerkleTree> TreeBuilder::build(
   for (std::uint32_t level = layout.depth; level-- > 0;) {
     const std::uint64_t begin = TreeLayout::level_begin(level);
     const std::uint64_t end = TreeLayout::level_end(level);
-    exec_.for_each(begin, end, [&](std::uint64_t node_index) {
-      hash::Digest128 pair[2] = {nodes[TreeLayout::left_child(node_index)],
-                                 nodes[TreeLayout::right_child(node_index)]};
-      nodes[node_index] = hash::murmur3f(
-          std::span<const std::uint8_t>(
-              reinterpret_cast<const std::uint8_t*>(pair), sizeof pair));
-    });
+    exec_.for_each(begin, end, kMinNodesPerClaim,
+                   [&](std::uint64_t node) { hash_children(nodes, node); });
   }
 
   build_seconds.record(build_watch.seconds());
@@ -174,13 +180,11 @@ repro::Status TreeBuilder::update_leaves(
   }
   auto* nodes = tree.nodes_.data();
 
-  // Rehash the dirty leaves in parallel (dynamically claimed — dirty sets
-  // mix full and tail chunks, so per-leaf cost is uneven).
-  exec_.for_each_dynamic(
-      0, changed_chunks.size(), leaf_grain_, [&](std::uint64_t i) {
-        const std::uint64_t chunk = changed_chunks[i];
-        nodes[layout.leaf_node(chunk)] = hash_chunk(data, tree, chunk);
-      });
+  // Rehash the dirty leaves in parallel, as build() does.
+  exec_.for_each(0, changed_chunks.size(), 1, [&](std::uint64_t i) {
+    const std::uint64_t chunk = changed_chunks[i];
+    nodes[layout.leaf_node(chunk)] = hash_chunk(data, tree, chunk);
+  });
 
   // Propagate upward level by level. The dirty frontier only shrinks, so a
   // simple dedup per level keeps the work at O(k) nodes per level.
@@ -198,13 +202,8 @@ repro::Status TreeBuilder::update_leaves(
         parents.push_back(parent);  // input sorted => parents sorted
       }
     }
-    exec_.for_each(0, parents.size(), [&](std::uint64_t i) {
-      const std::uint64_t node = parents[i];
-      hash::Digest128 pair[2] = {nodes[TreeLayout::left_child(node)],
-                                 nodes[TreeLayout::right_child(node)]};
-      nodes[node] = hash::murmur3f(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(pair), sizeof pair));
-    });
+    exec_.for_each(0, parents.size(), kMinNodesPerClaim,
+                   [&](std::uint64_t i) { hash_children(nodes, parents[i]); });
     dirty = std::move(parents);
   }
   return repro::Status::ok();

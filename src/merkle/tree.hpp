@@ -95,6 +95,15 @@ class MerkleTree {
   std::vector<hash::Digest128> nodes_;
 };
 
+/// Fewest tree nodes one claim of a per-level kernel holds: the builder's
+/// internal levels and compare_trees' BFS levels. A node is one 32-byte
+/// Murmur3F or two 16-byte digest loads, a few nanoseconds, so 4 Ki nodes is
+/// ~10 µs of work: about what waking the pool and joining it costs. A level
+/// of at most this many nodes (every internal level of a tree up to 8 Ki
+/// leaves, every level of a mostly clean pair's descent) runs on the
+/// calling thread; wider levels fan out.
+inline constexpr std::uint64_t kMinNodesPerClaim = 4096;
+
 /// Bottom-up parallel tree construction (Algorithm 1): all leaves hashed in
 /// parallel, then each internal level in parallel, synchronizing only
 /// between levels.
@@ -102,18 +111,6 @@ class TreeBuilder {
  public:
   TreeBuilder(TreeParams params, par::Exec exec)
       : params_(std::move(params)), exec_(exec) {}
-
-  /// Scheduling grain for the dynamically claimed leaf-hash pass, in chunks
-  /// per claim (0 = auto: leaves / (8 * ways)). A builder knob, not a tree
-  /// parameter — it cannot affect the digests, only how leaf work is dealt
-  /// to workers. See docs/PERF.md.
-  TreeBuilder& set_leaf_grain(std::uint64_t chunks_per_claim) noexcept {
-    leaf_grain_ = chunks_per_claim;
-    return *this;
-  }
-  [[nodiscard]] std::uint64_t leaf_grain() const noexcept {
-    return leaf_grain_;
-  }
 
   /// Build over an in-memory buffer (used at capture time, when the
   /// checkpoint bytes are still resident).
@@ -138,7 +135,6 @@ class TreeBuilder {
 
   TreeParams params_;
   par::Exec exec_;
-  std::uint64_t leaf_grain_ = 0;  // 0 = auto
 };
 
 }  // namespace repro::merkle

@@ -19,111 +19,50 @@ telemetry::Counter& regions_counter() {
 
 }  // namespace
 
-void Exec::run_blocks(
-    std::uint64_t begin, std::uint64_t end,
+void Exec::run(
+    std::uint64_t begin, std::uint64_t end, std::uint64_t min_grain,
     const std::function<void(std::uint64_t, std::uint64_t)>& block) const {
-  // The public entry points all reject empty ranges, but guard here too: an
-  // empty range would make num_blocks 0 and count / num_blocks divide by
-  // zero (and end - begin underflow for an inverted one).
   if (end <= begin) return;
-  regions_counter().increment();
-  telemetry::TraceSpan region_span("exec.region");
-  region_span.arg("kind", std::string_view{"static"})
-      .arg("count", end - begin);
   const std::uint64_t count = end - begin;
-  const std::uint64_t num_blocks =
-      std::min<std::uint64_t>(ways_, count);
-  const std::uint64_t base = count / num_blocks;
-  const std::uint64_t extra = count % num_blocks;
-
-  // Block b covers base indices, the first `extra` blocks one more.
-  auto block_range = [&](std::uint64_t b) {
-    const std::uint64_t lo =
-        begin + b * base + std::min<std::uint64_t>(b, extra);
-    const std::uint64_t len = base + (b < extra ? 1 : 0);
-    return std::pair<std::uint64_t, std::uint64_t>{lo, lo + len};
-  };
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t pending = static_cast<std::size_t>(num_blocks) - 1;
-
-  for (std::uint64_t b = 1; b < num_blocks; ++b) {
-    auto [lo, hi] = block_range(b);
-    pool_->submit([&, lo, hi] {
-      {
-        telemetry::TraceSpan span("exec.block");
-        span.arg("begin", lo).arg("end", hi);
-        block(lo, hi);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (--pending == 0) done_cv.notify_one();
-    });
+  // 8 claims per worker: fine enough to absorb 8x cost skew between blocks,
+  // coarse enough that the atomic RMW per claim is noise. The kernel's floor
+  // keeps every claim worth a pool wake-up.
+  const std::uint64_t grain =
+      std::max<std::uint64_t>({1, min_grain, count / (8 * ways_)});
+  if (is_serial() || count <= grain) {
+    block(begin, end);
+    return;
   }
 
-  // The calling thread executes block 0 — on a 1-core machine this keeps the
-  // pool from being pure overhead.
-  auto [lo0, hi0] = block_range(0);
-  {
+  regions_counter().increment();
+  telemetry::TraceSpan region_span("exec.region");
+  region_span.arg("count", count).arg("grain", grain);
+
+  std::atomic<std::uint64_t> next{begin};
+  auto drain = [&] {
     telemetry::TraceSpan span("exec.block");
-    span.arg("begin", lo0).arg("end", hi0);
-    block(lo0, hi0);
-  }
-
-  std::unique_lock<std::mutex> lock(mu);
-  done_cv.wait(lock, [&] { return pending == 0; });
-}
-
-void Exec::run_dynamic(
-    std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
-    const std::function<void(std::uint64_t, std::uint64_t)>& block) const {
-  if (end <= begin) return;
-  regions_counter().increment();
-  telemetry::TraceSpan region_span("exec.region");
-  region_span.arg("kind", std::string_view{"dynamic"})
-      .arg("count", end - begin);
-  const std::uint64_t count = end - begin;
-  if (grain == 0) {
-    // Default: 8 claims per worker — fine enough to absorb 8x cost skew
-    // between chunks, coarse enough that the atomic RMW is noise.
-    grain = std::max<std::uint64_t>(1, count / (8 * ways_));
-  }
-
-  auto drain = [&block, end, grain](std::atomic<std::uint64_t>& next) {
     for (;;) {
-      const std::uint64_t lo =
-          next.fetch_add(grain, std::memory_order_relaxed);
+      const std::uint64_t lo = next.fetch_add(grain, std::memory_order_relaxed);
       if (lo >= end) break;
       block(lo, std::min(lo + grain, end));
     }
   };
 
-  std::atomic<std::uint64_t> next{begin};
+  // At least two claims, so at least one helper.
   const std::uint64_t claims = (count + grain - 1) / grain;
-  const std::uint64_t helpers =
-      std::min<std::uint64_t>(ways_, claims) - 1;
-  if (helpers == 0) {
-    drain(next);
-    return;
-  }
-
+  const std::size_t helpers =
+      static_cast<std::size_t>(std::min<std::uint64_t>(ways_, claims)) - 1;
   std::mutex mu;
   std::condition_variable done_cv;
-  std::size_t pending = static_cast<std::size_t>(helpers);
-  for (std::uint64_t w = 0; w < helpers; ++w) {
+  std::size_t pending = helpers;
+  for (std::size_t w = 0; w < helpers; ++w) {
     pool_->submit([&] {
-      {
-        telemetry::TraceSpan span("exec.block");
-        drain(next);
-      }
+      drain();
       std::lock_guard<std::mutex> lock(mu);
       if (--pending == 0) done_cv.notify_one();
     });
   }
-  {
-    telemetry::TraceSpan span("exec.block");
-    drain(next);
-  }
+  drain();
   std::unique_lock<std::mutex> lock(mu);
   done_cv.wait(lock, [&] { return pending == 0; });
 }

@@ -10,11 +10,9 @@
 // the property the paper gets from Kokkos.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "par/thread_pool.hpp"
 
@@ -30,120 +28,39 @@ class Exec {
     return Exec{&default_pool(), default_pool().size()};
   }
 
-  /// Pool backend capped at `max_ways` concurrent blocks.
-  static Exec parallel(std::size_t max_ways) {
-    return Exec{&default_pool(),
-                max_ways == 0 ? std::size_t{1} : max_ways};
-  }
-
   [[nodiscard]] bool is_serial() const noexcept { return pool_ == nullptr; }
   [[nodiscard]] std::size_t ways() const noexcept { return ways_; }
 
-  /// parallel_for over [begin, end): calls body(i) for every index. The
-  /// range is split into at most `ways()` contiguous blocks; the calling
-  /// thread participates so a 1-way Exec degenerates to a plain loop.
-  template <typename Body>
-  void for_each(std::uint64_t begin, std::uint64_t end, Body&& body) const {
-    if (end <= begin) return;
-    if (is_serial() || ways_ == 1 || end - begin == 1) {
-      for (std::uint64_t i = begin; i < end; ++i) body(i);
-      return;
-    }
-    run_blocks(begin, end, [&body](std::uint64_t lo, std::uint64_t hi) {
-      for (std::uint64_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-
-  /// parallel_for over blocks: body(lo, hi) per contiguous block. Use when
-  /// the kernel wants to amortize per-call setup across a block.
+  /// The one parallel loop: body(lo, hi) over blocks that tile [begin, end)
+  /// exactly once. Up to ways() workers, the calling thread among them,
+  /// claim blocks from a shared counter, so skewed per-index cost does not
+  /// convoy them behind the slowest block. `min_grain` is the kernel's
+  /// floor: the fewest indices whose work pays for waking a pool thread and
+  /// joining it. A claim holds at least that many, and more for a range
+  /// that would give each worker more than 8 claims. A serial Exec, or a
+  /// range that fits in one claim, runs body(begin, end) on the calling
+  /// thread without touching the pool (docs/PERF.md §4).
   template <typename BlockBody>
   void for_blocks(std::uint64_t begin, std::uint64_t end,
-                  BlockBody&& body) const {
-    if (end <= begin) return;
-    if (is_serial() || ways_ == 1) {
-      body(begin, end);
-      return;
-    }
-    run_blocks(begin, end, std::forward<BlockBody>(body));
+                  std::uint64_t min_grain, BlockBody&& body) const {
+    run(begin, end, min_grain, std::ref(body));
   }
 
-  /// Dynamically scheduled parallel_for: workers repeatedly claim the next
-  /// `grain` indices from a shared atomic counter instead of receiving one
-  /// pre-cut block each. Use when per-index cost is skewed (candidate-pruned
-  /// chunk lists, mixed dirty/clean chunks): the static split convoys every
-  /// worker behind the unluckiest one, dynamic claiming keeps all lanes fed.
-  /// `grain` 0 picks a default of range / (8 * ways). Costs one atomic RMW
-  /// per grain, so keep grains a few microseconds of work or more.
+  /// for_blocks with body(i) per index.
   template <typename Body>
-  void for_each_dynamic(std::uint64_t begin, std::uint64_t end,
-                        std::uint64_t grain, Body&& body) const {
-    if (end <= begin) return;
-    if (is_serial() || ways_ == 1 || end - begin == 1) {
-      for (std::uint64_t i = begin; i < end; ++i) body(i);
-      return;
-    }
-    run_dynamic(begin, end, grain,
-                [&body](std::uint64_t lo, std::uint64_t hi) {
-                  for (std::uint64_t i = lo; i < hi; ++i) body(i);
-                });
-  }
-
-  /// Dynamically scheduled for_blocks: body(lo, hi) per claimed grain.
-  /// Blocks never exceed `grain` indices (when non-zero) on any backend.
-  template <typename BlockBody>
-  void for_blocks_dynamic(std::uint64_t begin, std::uint64_t end,
-                          std::uint64_t grain, BlockBody&& body) const {
-    if (end <= begin) return;
-    if (is_serial() || ways_ == 1) {
-      if (grain == 0) {
-        body(begin, end);
-        return;
-      }
-      for (std::uint64_t lo = begin; lo < end; lo += grain) {
-        body(lo, lo + grain < end ? lo + grain : end);
-      }
-      return;
-    }
-    run_dynamic(begin, end, grain, std::forward<BlockBody>(body));
-  }
-
-  /// parallel_reduce: sums body(i) over [begin, end) with operator+.
-  /// T must be default-constructible to its additive identity.
-  template <typename T, typename Body>
-  T reduce_sum(std::uint64_t begin, std::uint64_t end, Body&& body) const {
-    if (end <= begin) return T{};
-    if (is_serial() || ways_ == 1) {
-      T acc{};
-      for (std::uint64_t i = begin; i < end; ++i) acc = acc + body(i);
-      return acc;
-    }
-    std::vector<T> partials(ways_);
-    std::atomic<std::size_t> next_slot{0};
-    run_blocks(begin, end, [&](std::uint64_t lo, std::uint64_t hi) {
-      T acc{};
-      for (std::uint64_t i = lo; i < hi; ++i) acc = acc + body(i);
-      partials[next_slot.fetch_add(1, std::memory_order_relaxed)] =
-          std::move(acc);
+  void for_each(std::uint64_t begin, std::uint64_t end,
+                std::uint64_t min_grain, Body&& body) const {
+    run(begin, end, min_grain, [&body](std::uint64_t lo, std::uint64_t hi) {
+      for (std::uint64_t i = lo; i < hi; ++i) body(i);
     });
-    T total{};
-    for (auto& partial : partials) total = total + partial;
-    return total;
   }
 
  private:
   Exec(ThreadPool* pool, std::size_t ways) : pool_(pool), ways_(ways) {}
 
-  /// Split [begin, end) into <= ways_ blocks and run them; the caller runs
-  /// one block itself and waits for the rest.
-  void run_blocks(
-      std::uint64_t begin, std::uint64_t end,
-      const std::function<void(std::uint64_t, std::uint64_t)>& block) const;
-
-  /// Atomic-counter work queue over [begin, end): up to ways_ workers
-  /// (including the caller) claim `grain`-sized ranges until exhausted.
-  void run_dynamic(
-      std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
-      const std::function<void(std::uint64_t, std::uint64_t)>& block) const;
+  void run(std::uint64_t begin, std::uint64_t end, std::uint64_t min_grain,
+           const std::function<void(std::uint64_t, std::uint64_t)>& block)
+      const;
 
   ThreadPool* pool_;  // nullptr => serial
   std::size_t ways_;

@@ -3,23 +3,11 @@
 #include <algorithm>
 
 #include "common/timer.hpp"
-#include "merkle/nodestore.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace repro::svc {
 
 namespace {
-
-/// Maps the sidecar in place, or — for a differential link — resolves the
-/// delta chain once and adopts the flat re-encoding (so cache hits skip the
-/// whole replay).
-repro::Result<merkle::MappedBundle> open_sidecar(
-    const std::filesystem::path& metadata_path, bool differential) {
-  if (!differential) return merkle::MappedBundle::open(metadata_path);
-  REPRO_ASSIGN_OR_RETURN(const merkle::MerkleTree tree,
-                         merkle::resolve_delta_chain(metadata_path));
-  return merkle::MappedBundle::from_bytes(merkle::flat_serialize(tree));
-}
 
 /// Global counters shared by every cache instance (the daemon runs one, but
 /// tests construct more; counters are monotonic so summing is harmless).
@@ -203,25 +191,12 @@ repro::Result<BundlePtr> pin_sidecar(
   }
   std::error_code ec;
   const auto canonical = std::filesystem::weakly_canonical(metadata_path, ec);
-  std::string key = ec ? metadata_path.string() : canonical.string();
-  // Differential delta-store sidecars ("iter<j>.rmrk", RMFD-only) hold no
-  // tree in place; the key carries the anchor + chain length so distinct
-  // resolutions never alias and hits skip the whole replay.
-  bool differential = false;
-  const std::string filename = metadata_path.filename().string();
-  if (filename.starts_with("iter") && filename.ends_with(".rmrk")) {
-    const auto probe = merkle::probe_delta_chain(metadata_path);
-    if (probe.is_ok() && probe.value().differential) {
-      differential = true;
-      key += "#a" + std::to_string(probe.value().anchor_iteration) + "+" +
-             std::to_string(probe.value().chain_length);
-    }
-  }
+  const std::string key = ec ? metadata_path.string() : canonical.string();
   return cache.get_or_load(
       key,
       [&] {
         Stopwatch clock;
-        auto bundle = open_sidecar(metadata_path, differential);
+        auto bundle = merkle::MappedBundle::open(metadata_path);
         if (load_us != nullptr) *load_us = clock.seconds() * 1e6;
         return bundle;
       },

@@ -6,13 +6,14 @@
 // sidecar I/O. Keys are canonical sidecar identities (one tree per (run,
 // iteration, rank) — equivalently per metadata path); values are immutable
 // MappedBundles behind shared_ptr: an mmap'd region used in place (zero parse
-// work, page-cache-backed, shareable read-only across processes), or a heap
-// blob for resolved differential chains. An entry stays alive ("is pinned")
-// for as long as any in-flight compare holds it, even if the shard evicts it
-// concurrently. Each entry also records its file's identity (device, inode,
-// size, mtime); a lookup whose stat disagrees is a miss that reloads, so a
-// sidecar republished in place (temp + rename) is never answered from the
-// tree of the bytes it replaced.
+// work, page-cache-backed, shareable read-only across processes). The daemon
+// resolves no differential (RMFD-only) delta chain: no request names one,
+// and such a sidecar gets an error reply that names it. An entry stays alive
+// ("is pinned") for as long as any in-flight compare holds it, even if the
+// shard evicts it concurrently. Each entry also records its file's identity
+// (device, inode, size, mtime); a lookup whose stat disagrees is a miss that
+// reloads, so a sidecar republished in place (temp + rename) is never
+// answered from the tree of the bytes it replaced.
 //
 // Concurrency: the key space is hash-partitioned over `num_shards`
 // independent shards, each with its own mutex, LRU list, and slice of the
@@ -139,11 +140,9 @@ class MetadataCache {
 
 /// The one sidecar lookup every service path shares (COMPARE/TIMELINE pins,
 /// LOAD_RUN prewarm, WATCH references): one stat for the file's identity,
-/// then `cache`, loading the sidecar on a miss. The key is the weakly
+/// then `cache`, mapping the sidecar on a miss. The key is the weakly
 /// canonical path — one (run, iteration, rank) tree regardless of how a
-/// request named it — plus, for a differential delta-store sidecar
-/// ("iter<j>.rmrk" carrying only an RMFD section), its resolved chain, which
-/// is loaded once and cached flat. A null bundle when there is no sidecar.
+/// request named it. A null bundle when there is no sidecar.
 /// `*load_us` (optional) receives the time spent loading on a miss.
 [[nodiscard]] repro::Result<BundlePtr> pin_sidecar(
     MetadataCache& cache, const std::filesystem::path& metadata_path,

@@ -239,68 +239,4 @@ repro::Result<Response> Client::watch_close() {
   return call(Opcode::kWatchClose, {});
 }
 
-// ---- FabricClient ---------------------------------------------------------
-
-FabricClient::FabricClient(FabricOptions options)
-    : options_(std::move(options)), ring_(options_.workers) {}
-
-repro::Result<FabricClient> FabricClient::connect(FabricOptions options) {
-  if (options.workers.empty()) {
-    return repro::invalid_argument("fabric client needs at least one worker");
-  }
-  // Connections are opened lazily on first use per endpoint; validating the
-  // ring here keeps construction infallible afterwards.
-  return FabricClient(std::move(options));
-}
-
-std::string FabricClient::endpoint_for(std::string_view payload) const {
-  const RingWorker* worker = ring_.owner(routing_key(payload));
-  return worker == nullptr ? std::string() : worker->endpoint;
-}
-
-repro::Result<Response> FabricClient::call(Opcode op,
-                                           std::string_view payload,
-                                           bool json) {
-  const std::string key = routing_key(payload);
-  const auto now = std::chrono::steady_clock::now();
-  repro::Status last = repro::unavailable("no live worker for shard");
-  // Walk the key's deterministic failover order: the owner first, then the
-  // rendezvous runners-up. Workers inside their down-backoff window are
-  // skipped on the first pass; if that leaves nothing to try (every worker
-  // marked down), retry everyone once rather than failing attempt-free.
-  const auto ranked = ring_.ranked(key);
-  bool attempted = false;
-  for (const bool respect_down_marks : {true, false}) {
-    for (const RingWorker* worker : ranked) {
-      Upstream& upstream = upstreams_[worker->endpoint];
-      if (respect_down_marks && !upstream.client.has_value() &&
-          upstream.down_until > now) {
-        continue;
-      }
-      attempted = true;
-      if (!upstream.client.has_value()) {
-        auto connected = Client::connect(
-            endpoint_client_options(worker->endpoint, options_.base));
-        if (!connected.is_ok()) {
-          last = connected.status();
-          upstream.down_until = now + options_.down_backoff;
-          continue;
-        }
-        upstream.client.emplace(std::move(connected).value());
-      }
-      repro::Result<Response> response =
-          upstream.client->call(op, payload, json);
-      if (response.is_ok()) return response;
-      // Transport failure: drop the cached connection, mark the worker
-      // down, and fail over. Wire-level error statuses (NOT_FOUND and
-      // friends) arrive as decoded frames and never reach this path.
-      last = response.status();
-      upstream.client.reset();
-      upstream.down_until = now + options_.down_backoff;
-    }
-    if (attempted) break;
-  }
-  return last;
-}
-
 }  // namespace repro::svc

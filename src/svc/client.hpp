@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -19,7 +18,6 @@
 
 #include "common/status.hpp"
 #include "io/retry.hpp"
-#include "svc/hash_ring.hpp"
 #include "svc/wire.hpp"
 
 namespace repro::svc {
@@ -119,57 +117,6 @@ class Client {
   std::vector<std::uint8_t> rx_;
   /// In-flight chunked responses keyed by request id.
   std::unordered_map<std::uint64_t, ChunkAccum> chunk_rx_;
-};
-
-/// Multi-endpoint client mode for the scale-out fabric: one FabricClient
-/// holds a RunIdRing over the worker endpoints and routes every call() to
-/// the owner of the request's routing key itself — no router hop. Upstream
-/// connections are opened lazily and cached per endpoint. A transport
-/// failure (connect refused, peer vanished, timeout) marks that worker
-/// down for `down_backoff` and fails the call over to the next worker in
-/// the key's deterministic rendezvous order; wire-level error statuses
-/// (NOT_FOUND, BAD_REQUEST, ...) are real answers and do not fail over.
-struct FabricOptions {
-  /// Worker endpoints with ring weights (RingWorker::endpoint syntax).
-  std::vector<RingWorker> workers;
-  /// Template for the per-endpoint connections (timeout, frame cap,
-  /// connect retry); socket_path/host/port are derived per endpoint.
-  ClientOptions base;
-  /// How long a transport-failed worker is skipped before being retried.
-  std::chrono::milliseconds down_backoff{1000};
-};
-
-class FabricClient {
- public:
-  static repro::Result<FabricClient> connect(FabricOptions options);
-
-  FabricClient(FabricClient&&) noexcept = default;
-  FabricClient& operator=(FabricClient&&) noexcept = default;
-  FabricClient(const FabricClient&) = delete;
-  FabricClient& operator=(const FabricClient&) = delete;
-
-  /// Routes one request to the owner of its routing key, failing over
-  /// through the ring's ranked order on transport errors.
-  repro::Result<Response> call(Opcode op, std::string_view payload,
-                               bool json = true);
-
-  /// The endpoint call() would try first for this payload right now
-  /// (ignores down-marks; pure ring placement). Empty on an empty ring.
-  [[nodiscard]] std::string endpoint_for(std::string_view payload) const;
-
-  [[nodiscard]] const RunIdRing& ring() const noexcept { return ring_; }
-
- private:
-  explicit FabricClient(FabricOptions options);
-
-  struct Upstream {
-    std::optional<Client> client;
-    std::chrono::steady_clock::time_point down_until{};
-  };
-
-  FabricOptions options_;
-  RunIdRing ring_;
-  std::unordered_map<std::string, Upstream> upstreams_;
 };
 
 }  // namespace repro::svc

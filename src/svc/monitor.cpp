@@ -294,7 +294,9 @@ WatchReply Monitor::compare_iteration(Session& session,
   auto ref_tree = bundle.value()->sole_tree();
   if (!ref_tree.is_ok()) {
     return {WireStatus::kInternal,
-            error_payload(ref_tree.status().to_string())};
+            error_payload(ref_tree.status()
+                              .with_context(ref.metadata_path.string())
+                              .to_string())};
   }
   // Stage 1 of the compare engine: the pruned BFS. Serial, because this is
   // the event-loop thread, which must never wait on a pool. Parameters or

@@ -1050,9 +1050,13 @@ struct Server::Impl {
       if (bundle == nullptr) {
         return cmp::PinnedTree{};  // no sidecar: the comparator builds one
       }
-      REPRO_ASSIGN_OR_RETURN(const merkle::TreeView view,
-                             bundle->sole_tree());
-      return cmp::PinnedTree{view, std::move(bundle)};
+      // A delta-only sidecar holds no tree in place; the daemon resolves no
+      // delta chain, so the reply names the sidecar instead.
+      auto view = bundle->sole_tree();
+      if (!view.is_ok()) {
+        return view.status().with_context(metadata_path.string());
+      }
+      return cmp::PinnedTree{view.value(), std::move(bundle)};
     };
   }
 

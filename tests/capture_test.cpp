@@ -61,6 +61,21 @@ TEST_F(CaptureTest, FlushesCheckpointAndMetadataToPfs) {
   EXPECT_EQ(reader.value().data_bytes(), 20000U);
 }
 
+TEST_F(CaptureTest, UncreatableLocalDirIsACaptureError) {
+  // The local directory would sit under a regular file.
+  const std::filesystem::path file = local_.file("not-a-dir");
+  ASSERT_TRUE(repro::write_file(file, std::vector<std::uint8_t>{'x'}).is_ok());
+  const std::filesystem::path local_dir = file / "local";
+  CaptureEngine engine(local_dir, catalog_, options());
+  const repro::Status status = engine.capture(make_writer("run-1", 10, 0, 1));
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.code(), repro::StatusCode::kIoError);
+  EXPECT_NE(status.to_string().find(local_dir.string()), std::string::npos)
+      << status.to_string();
+  EXPECT_TRUE(engine.wait_all().is_ok());  // nothing was enqueued
+  EXPECT_FALSE(catalog_.ref("run-1", 10, 0).has_metadata());
+}
+
 TEST_F(CaptureTest, MetadataMatchesOfflineRebuild) {
   CaptureEngine engine(local_.path(), catalog_, options());
   const CheckpointWriter writer = make_writer("run-1", 10, 0, 2);

@@ -196,6 +196,17 @@ TEST_F(CliTest, HistoryOnAnUnreadableCatalogExitsTwo) {
       << result.output;
 }
 
+TEST_F(CliTest, SimulateWithAnUnusableTmpdirExitsTwo) {
+  // simulate stages captures in a temp dir; a TMPDIR that does not exist is
+  // a runtime error naming it (2), not an uncaught exception (134).
+  const std::string missing = pfs() + "/no-such-tmpdir";
+  const CommandResult result = run_shell(
+      "TMPDIR=" + missing + " " + REPRO_CLI_BINARY + " simulate --out " +
+      pfs() + " --run A --particles 1024 --steps 2 --capture-every 2 2>&1");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find(missing), std::string::npos) << result.output;
+}
+
 TEST_F(CliTest, UsagePrintsExitCodeContract) {
   const CommandResult result = run_cli("");
   EXPECT_NE(result.output.find("exit codes"), std::string::npos)

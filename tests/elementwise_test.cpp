@@ -173,6 +173,36 @@ TEST_P(ElementwiseBackends, BytesKindIsBitwise) {
   EXPECT_EQ(result.values_exceeding, 2U);
 }
 
+// A 4 KiB byte region is one claim: it runs on the calling thread on
+// either backend, as a 4 KiB float region does.
+TEST_P(ElementwiseBackends, SmallBytesRegionNeverWakesThePool) {
+  std::vector<std::uint8_t> run_a(4096, 7);
+  std::vector<std::uint8_t> run_b = run_a;
+  run_b[0] = 8;
+  run_b[4095] = 9;
+  const std::uint64_t regions = exec_regions();
+  const auto result = compare_region(run_a, run_b, merkle::ValueKind::kBytes,
+                                     0.0, 0, options(), nullptr);
+  EXPECT_EQ(result.values_exceeding, 2U);
+  EXPECT_EQ(exec_regions(), regions);
+}
+
+TEST_P(ElementwiseBackends, LargeBytesRegionCountsEveryByte) {
+  std::vector<std::uint8_t> run_a(2 * kMinBytesPerClaim + 1000, 7);
+  std::vector<std::uint8_t> run_b = run_a;
+  std::uint64_t expected = 0;
+  for (std::size_t i = 0; i < run_b.size(); i += 999) {
+    run_b[i] = 1;
+    ++expected;
+  }
+  const std::uint64_t regions = exec_regions();
+  const auto result = compare_region(run_a, run_b, merkle::ValueKind::kBytes,
+                                     0.0, 0, options(), nullptr);
+  EXPECT_EQ(result.values_compared, run_a.size());
+  EXPECT_EQ(result.values_exceeding, expected);
+  expect_fan_out(regions);
+}
+
 TEST_P(ElementwiseBackends, EmptyRegion) {
   const auto result =
       compare_region({}, {}, merkle::ValueKind::kF32, 1e-6, 0, options(),

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <thread>
 #include <vector>
+
+#include "telemetry/metrics.hpp"
 
 namespace repro::par {
 namespace {
+
+std::uint64_t regions() {
+  return telemetry::MetricsRegistry::global()
+      .counter("par.exec.regions")
+      .value();
+}
 
 class ExecBackends : public ::testing::TestWithParam<bool> {
  protected:
@@ -20,7 +30,7 @@ TEST_P(ExecBackends, ForEachVisitsEveryIndexExactlyOnce) {
   const Exec exec = make_exec();
   for (const std::uint64_t count : {0ULL, 1ULL, 2ULL, 7ULL, 64ULL, 1000ULL}) {
     std::vector<std::atomic<int>> visits(count);
-    exec.for_each(0, count, [&](std::uint64_t i) {
+    exec.for_each(0, count, 1, [&](std::uint64_t i) {
       visits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -32,7 +42,7 @@ TEST_P(ExecBackends, ForEachVisitsEveryIndexExactlyOnce) {
 TEST_P(ExecBackends, ForEachRespectsNonZeroBegin) {
   const Exec exec = make_exec();
   std::vector<std::atomic<int>> visits(100);
-  exec.for_each(40, 60, [&](std::uint64_t i) {
+  exec.for_each(40, 60, 1, [&](std::uint64_t i) {
     visits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -43,55 +53,9 @@ TEST_P(ExecBackends, ForEachRespectsNonZeroBegin) {
 TEST_P(ExecBackends, EmptyRangeIsNoop) {
   const Exec exec = make_exec();
   bool called = false;
-  exec.for_each(10, 10, [&](std::uint64_t) { called = true; });
-  exec.for_each(10, 5, [&](std::uint64_t) { called = true; });
+  exec.for_each(10, 10, 1, [&](std::uint64_t) { called = true; });
+  exec.for_each(10, 5, 1, [&](std::uint64_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-TEST_P(ExecBackends, ForBlocksPartitionsRange) {
-  const Exec exec = make_exec();
-  for (const std::uint64_t count : {1ULL, 5ULL, 17ULL, 256ULL, 1001ULL}) {
-    std::mutex mu;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks;
-    exec.for_blocks(0, count, [&](std::uint64_t lo, std::uint64_t hi) {
-      std::lock_guard<std::mutex> lock(mu);
-      blocks.emplace_back(lo, hi);
-    });
-    std::sort(blocks.begin(), blocks.end());
-    // Blocks must tile [0, count) without gaps or overlaps.
-    std::uint64_t cursor = 0;
-    for (const auto& [lo, hi] : blocks) {
-      EXPECT_EQ(lo, cursor);
-      EXPECT_GT(hi, lo);
-      cursor = hi;
-    }
-    EXPECT_EQ(cursor, count);
-  }
-}
-
-TEST_P(ExecBackends, ReduceSumMatchesSerialSum) {
-  const Exec exec = make_exec();
-  for (const std::uint64_t count : {0ULL, 1ULL, 10ULL, 999ULL, 100000ULL}) {
-    const std::uint64_t sum = exec.reduce_sum<std::uint64_t>(
-        0, count, [](std::uint64_t i) { return i * i; });
-    std::uint64_t expected = 0;
-    for (std::uint64_t i = 0; i < count; ++i) expected += i * i;
-    EXPECT_EQ(sum, expected) << "count " << count;
-  }
-}
-
-TEST_P(ExecBackends, ReduceSumWithOffsetRange) {
-  const Exec exec = make_exec();
-  const std::uint64_t sum = exec.reduce_sum<std::uint64_t>(
-      100, 200, [](std::uint64_t i) { return i; });
-  EXPECT_EQ(sum, (100ULL + 199ULL) * 100ULL / 2ULL);
-}
-
-TEST_P(ExecBackends, ReduceSumDoubleAccumulation) {
-  const Exec exec = make_exec();
-  const double sum = exec.reduce_sum<double>(
-      0, 1000, [](std::uint64_t) { return 0.5; });
-  EXPECT_DOUBLE_EQ(sum, 500.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, ExecBackends,
@@ -107,113 +71,70 @@ TEST(Exec, SerialReportsSerial) {
   EXPECT_GE(Exec::parallel().ways(), 2U);
 }
 
-TEST(Exec, CappedParallelism) {
-  const Exec exec = Exec::parallel(3);
-  EXPECT_EQ(exec.ways(), 3U);
-  // A zero cap degrades to 1 way rather than dividing by zero.
-  EXPECT_EQ(Exec::parallel(0).ways(), 1U);
-}
-
-TEST(Exec, CappedParallelLimitsConcurrentBlocks) {
-  const Exec exec = Exec::parallel(2);
-  std::mutex mu;
-  int blocks = 0;
-  exec.for_blocks(0, 1000, [&](std::uint64_t, std::uint64_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++blocks;
-  });
-  EXPECT_LE(blocks, 2);
-}
-
-TEST_P(ExecBackends, ForEachDynamicVisitsEveryIndexExactlyOnce) {
-  const Exec exec = make_exec();
-  for (const std::uint64_t count : {0ULL, 1ULL, 2ULL, 7ULL, 64ULL, 1000ULL}) {
-    for (const std::uint64_t grain : {0ULL, 1ULL, 7ULL, 10000ULL}) {
-      std::vector<std::atomic<int>> visits(count);
-      exec.for_each_dynamic(0, count, grain, [&](std::uint64_t i) {
-        visits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-      for (std::uint64_t i = 0; i < count; ++i) {
-        EXPECT_EQ(visits[i].load(), 1)
-            << "index " << i << " count " << count << " grain " << grain;
-      }
-    }
-  }
-}
-
-TEST_P(ExecBackends, ForEachDynamicRespectsNonZeroBegin) {
-  const Exec exec = make_exec();
-  std::vector<std::atomic<int>> visits(100);
-  exec.for_each_dynamic(40, 60, 3, [&](std::uint64_t i) {
-    visits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(visits[i].load(), (i >= 40 && i < 60) ? 1 : 0);
-  }
-}
-
-TEST_P(ExecBackends, ForEachDynamicEmptyRangeIsNoop) {
-  const Exec exec = make_exec();
-  bool called = false;
-  exec.for_each_dynamic(10, 10, 4, [&](std::uint64_t) { called = true; });
-  exec.for_each_dynamic(10, 5, 4, [&](std::uint64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST_P(ExecBackends, ForBlocksDynamicTilesRange) {
   const Exec exec = make_exec();
   for (const std::uint64_t count : {1ULL, 5ULL, 17ULL, 256ULL, 1001ULL}) {
-    for (const std::uint64_t grain : {0ULL, 1ULL, 13ULL, 5000ULL}) {
+    for (const std::uint64_t min_grain : {0ULL, 1ULL, 13ULL, 5000ULL}) {
       std::mutex mu;
       std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks;
-      exec.for_blocks_dynamic(
-          0, count, grain, [&](std::uint64_t lo, std::uint64_t hi) {
+      exec.for_blocks(
+          0, count, min_grain, [&](std::uint64_t lo, std::uint64_t hi) {
             std::lock_guard<std::mutex> lock(mu);
             blocks.emplace_back(lo, hi);
           });
       std::sort(blocks.begin(), blocks.end());
+      // Claims tile [0, count) exactly once; every claim but the last holds
+      // at least min_grain indices.
       std::uint64_t cursor = 0;
       for (const auto& [lo, hi] : blocks) {
-        EXPECT_EQ(lo, cursor) << "count " << count << " grain " << grain;
+        EXPECT_EQ(lo, cursor) << "count " << count << " grain " << min_grain;
         EXPECT_GT(hi, lo);
-        if (grain > 0) EXPECT_LE(hi - lo, grain);
+        if (hi != count) {
+          EXPECT_GE(hi - lo, min_grain);
+        }
         cursor = hi;
       }
-      EXPECT_EQ(cursor, count) << "count " << count << " grain " << grain;
+      EXPECT_EQ(cursor, count) << "count " << count << " grain " << min_grain;
     }
   }
 }
 
-TEST(Exec, DynamicWithCappedWaysVisitsEverything) {
-  const Exec exec = Exec::parallel(2);
-  constexpr std::uint64_t kCount = 4096;
-  std::vector<std::atomic<int>> visits(kCount);
-  exec.for_each_dynamic(0, kCount, 5, [&](std::uint64_t i) {
-    visits[i].fetch_add(1, std::memory_order_relaxed);
+TEST(Exec, OneClaimRunsOnTheCallingThread) {
+  const Exec exec = Exec::parallel();
+  const std::uint64_t before = regions();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks;
+  std::vector<std::thread::id> threads;
+  exec.for_blocks(10, 1010, 1000, [&](std::uint64_t lo, std::uint64_t hi) {
+    blocks.emplace_back(lo, hi);
+    threads.push_back(std::this_thread::get_id());
   });
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
-  }
+  ASSERT_EQ(blocks.size(), 1U);
+  EXPECT_EQ(blocks[0].first, 10U);
+  EXPECT_EQ(blocks[0].second, 1010U);
+  EXPECT_EQ(threads[0], std::this_thread::get_id());
+  EXPECT_EQ(regions(), before);  // no fan-out
+
+  // One index more is two claims: a fan-out.
+  exec.for_blocks(10, 1011, 1000, [](std::uint64_t, std::uint64_t) {});
+  EXPECT_EQ(regions(), before + 1);
 }
 
-// Regression: run_blocks used to divide by a zero block count when the
-// range was empty; empty and inverted ranges must be no-ops on every
-// entry point that funnels into it.
+// Empty and inverted ranges are no-ops: no block runs, and no claim count
+// is computed from a zero or wrapped-around range.
 TEST(Exec, StaticEntryPointsHandleEmptyAndInvertedRanges) {
   const Exec exec = Exec::parallel();
   bool called = false;
-  exec.for_blocks(7, 7, [&](std::uint64_t, std::uint64_t) { called = true; });
-  exec.for_blocks(7, 3, [&](std::uint64_t, std::uint64_t) { called = true; });
+  auto block = [&](std::uint64_t, std::uint64_t) { called = true; };
+  exec.for_blocks(7, 7, 1, block);
+  exec.for_blocks(7, 3, 1, block);
+  exec.for_each(9, 4, 1, [&](std::uint64_t) { called = true; });
   EXPECT_FALSE(called);
-  EXPECT_EQ(exec.reduce_sum<std::uint64_t>(
-                9, 4, [](std::uint64_t i) { return i; }),
-            0u);
 }
 
 TEST(Exec, LargeRangeStress) {
   const Exec exec = Exec::parallel();
   std::atomic<std::uint64_t> sum{0};
-  exec.for_each(0, 1 << 20, [&](std::uint64_t i) {
+  exec.for_each(0, 1 << 20, 1, [&](std::uint64_t i) {
     if ((i & 0xFFF) == 0) sum.fetch_add(i, std::memory_order_relaxed);
   });
   std::uint64_t expected = 0;

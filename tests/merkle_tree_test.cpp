@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "hash/murmur3.hpp"
 #include "merkle/flat.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace repro::merkle {
 namespace {
@@ -22,6 +23,12 @@ std::vector<std::uint8_t> random_f32_bytes(std::size_t count,
   }
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
   return {bytes, bytes + values.size() * sizeof(float)};
+}
+
+std::uint64_t exec_regions() {
+  return telemetry::MetricsRegistry::global()
+      .counter("par.exec.regions")
+      .value();
 }
 
 TreeParams small_params(std::uint64_t chunk_bytes = 1024) {
@@ -59,37 +66,44 @@ TEST(ValueKindHelpers, SizesAndNames) {
 }
 
 TEST(TreeBuilder, DeterministicAcrossBackends) {
-  const auto data = random_f32_bytes(10000, 1);
-  const TreeBuilder serial(small_params(), par::Exec::serial());
-  const TreeBuilder parallel(small_params(), par::Exec::parallel());
-  const auto tree_serial = serial.build(data);
-  const auto tree_parallel = parallel.build(data);
-  ASSERT_TRUE(tree_serial.is_ok());
-  ASSERT_TRUE(tree_parallel.is_ok());
-  ASSERT_EQ(tree_serial.value().nodes().size(),
-            tree_parallel.value().nodes().size());
-  for (std::size_t i = 0; i < tree_serial.value().nodes().size(); ++i) {
-    EXPECT_EQ(tree_serial.value().node(i), tree_parallel.value().node(i));
+  // 10 leaves; then 9000 leaves of 64 B, whose widest internal level (8 Ki
+  // nodes) is more than one claim and fans out.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> inputs = {
+      {10000, 1024}, {9000 * 16, 64}};
+  for (const auto& [values, chunk_bytes] : inputs) {
+    const auto data = random_f32_bytes(values, 1);
+    const TreeBuilder serial(small_params(chunk_bytes), par::Exec::serial());
+    const TreeBuilder parallel(small_params(chunk_bytes),
+                               par::Exec::parallel());
+    const auto tree_serial = serial.build(data);
+    const std::uint64_t regions_before = exec_regions();
+    const auto tree_parallel = parallel.build(data);
+    ASSERT_TRUE(tree_serial.is_ok());
+    ASSERT_TRUE(tree_parallel.is_ok());
+    if (tree_parallel.value().layout().padded_leaves / 2 > kMinNodesPerClaim) {
+      // The leaf pass and at least one internal level fanned out.
+      EXPECT_GE(exec_regions() - regions_before, 2U);
+    }
+    ASSERT_EQ(tree_serial.value().nodes().size(),
+              tree_parallel.value().nodes().size());
+    for (std::size_t i = 0; i < tree_serial.value().nodes().size(); ++i) {
+      EXPECT_EQ(tree_serial.value().node(i), tree_parallel.value().node(i))
+          << "node " << i << " chunk_bytes " << chunk_bytes;
+    }
   }
 }
 
-TEST(TreeBuilder, LeafGrainDoesNotAffectTree) {
-  const auto data = random_f32_bytes(10000, 1);
-  const TreeBuilder reference(small_params(), par::Exec::parallel());
-  const auto want = reference.build(data);
-  ASSERT_TRUE(want.is_ok());
-  for (const std::uint64_t grain : {1ULL, 3ULL, 1000000ULL}) {
-    TreeBuilder builder(small_params(), par::Exec::parallel());
-    builder.set_leaf_grain(grain);
-    EXPECT_EQ(builder.leaf_grain(), grain);
-    const auto got = builder.build(data);
-    ASSERT_TRUE(got.is_ok());
-    ASSERT_EQ(got.value().nodes().size(), want.value().nodes().size());
-    for (std::size_t i = 0; i < want.value().nodes().size(); ++i) {
-      ASSERT_EQ(got.value().node(i), want.value().node(i))
-          << "node " << i << " grain " << grain;
-    }
-  }
+// A capture-sized tree (448 leaves; its internal levels hold at most 256
+// nodes) fans out for its leaf pass only: every internal level is one claim
+// and runs on the calling thread.
+TEST(TreeBuilder, CaptureSizedBuildFansOutOnce) {
+  const auto data = random_f32_bytes(448 * 256, 5);  // 448 chunks of 1 KiB
+  const TreeBuilder builder(small_params(), par::Exec::parallel());
+  const std::uint64_t regions_before = exec_regions();
+  const auto tree = builder.build(data);
+  ASSERT_TRUE(tree.is_ok());
+  EXPECT_EQ(tree.value().num_chunks(), 448U);
+  EXPECT_LE(exec_regions() - regions_before, 1U);
 }
 
 TEST(TreeBuilder, ChunkCountMatchesCeilDiv) {

@@ -18,6 +18,7 @@
 
 #include "common/fs.hpp"
 #include "merkle/flat.hpp"
+#include "merkle/nodestore.hpp"
 #include "compare/comparator.hpp"
 #include "sim/workload.hpp"
 #include "svc/client.hpp"
@@ -623,6 +624,50 @@ TEST_F(LoopbackTest, UnprobeablePathsGetAnErrorReplyAndTheDaemonStaysUp) {
   ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
   EXPECT_FALSE(reply.value().ok());
   EXPECT_NE(reply.value().payload.find(looping_iter), std::string::npos)
+      << reply.value().payload;
+
+  auto ping = client.value().call(Opcode::kPing, "");
+  ASSERT_TRUE(ping.is_ok()) << ping.status().to_string();
+  EXPECT_TRUE(ping.value().ok());
+
+  stop_server();
+}
+
+TEST_F(LoopbackTest, DeltaOnlySidecarGetsAnErrorReplyNamingIt) {
+  // The daemon resolves no delta chain: a checkpoint whose sidecar holds
+  // only a differential (RMFD) section gets an error reply that names the
+  // sidecar, even where a delta-store anchor sits beside it, and the
+  // daemon stays up.
+  const auto params = tree_params(1e-5);
+  const auto x = sim::generate_field(4000, 31);
+  const auto phi = sim::generate_field(4000, 32);
+  write_checkpoint(dir_.file("a.ckpt"), x, phi, params);
+  write_checkpoint(dir_.file("iter1.ckpt"), x, phi, params);
+  const std::filesystem::path full = dir_.file("iter1.ckpt.rmrk");
+  auto bundle = merkle::MappedBundle::open(full);
+  ASSERT_TRUE(bundle.is_ok()) << bundle.status().to_string();
+  auto view = bundle.value().sole_tree();
+  ASSERT_TRUE(view.is_ok()) << view.status().to_string();
+  auto tree = view.value().materialize();
+  ASSERT_TRUE(tree.is_ok()) << tree.status().to_string();
+  std::filesystem::remove(full);
+  // iter1.ckpt's sidecar is now iter1.rmrk: a delta on the anchor iter0.
+  ASSERT_TRUE(merkle::save_flat(tree.value(), dir_.file("iter0.rmrk")).is_ok());
+  const auto delta =
+      merkle::compute_tree_delta(tree.value(), tree.value(), 0, 1);
+  ASSERT_TRUE(delta.is_ok()) << delta.status().to_string();
+  const std::filesystem::path sidecar = dir_.file("iter1.rmrk");
+  ASSERT_TRUE(merkle::save_flat_delta(delta.value(), sidecar).is_ok());
+
+  start_server(base_options());
+  auto client = connect_client();
+  ASSERT_TRUE(client.is_ok());
+  auto reply = client.value().call(
+      Opcode::kCompare,
+      compare_request(dir_.file("a.ckpt"), dir_.file("iter1.ckpt")));
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_FALSE(reply.value().ok());
+  EXPECT_NE(reply.value().payload.find(sidecar.string()), std::string::npos)
       << reply.value().payload;
 
   auto ping = client.value().call(Opcode::kPing, "");

@@ -3,8 +3,7 @@
 // Covers forward parity (the router hop must be invisible to verdicts),
 // worker-kill failover with warm survivor caches, SHUTDOWN drain with no
 // dropped inflight replies, chunked TIMELINE streaming through the hop,
-// the FabricClient client-side routing mode, and the connect-retry
-// satellite on plain Clients.
+// and the connect-retry satellite on plain Clients.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -521,42 +520,6 @@ TEST_F(RouterFabricTest, LargeTimelineStreamsInChunksThroughTheRouter) {
   EXPECT_TRUE(direct.value().call(Opcode::kPing, "").is_ok());
 
   stop_router();
-}
-
-TEST_F(RouterFabricTest, FabricClientRoutesItselfAndFailsOver) {
-  const auto params = tree_params(1e-5);
-  const auto x = sim::generate_field(4000, 21);
-  const auto phi = sim::generate_field(4000, 22);
-  write_checkpoint(dir_.file("fa.ckpt"), x, phi, params);
-  write_checkpoint(dir_.file("fb.ckpt"), x, phi, params);
-
-  for (int i = 0; i < kWorkers; ++i) start_worker(i, worker_options(i));
-
-  FabricOptions opts;
-  opts.workers = ring_workers();
-  opts.base.timeout = std::chrono::milliseconds{20000};
-  opts.down_backoff = std::chrono::milliseconds{100};
-  auto fabric = FabricClient::connect(std::move(opts));
-  ASSERT_TRUE(fabric.is_ok()) << fabric.status().to_string();
-
-  const std::string request =
-      compare_request(dir_.file("fa.ckpt"), dir_.file("fb.ckpt"));
-  // Client-side routing agrees with the shared ring placement.
-  const int owner = owner_index(request);
-  ASSERT_GE(owner, 0);
-  EXPECT_EQ(fabric.value().endpoint_for(request),
-            worker_socket(owner).string());
-
-  auto response = fabric.value().call(Opcode::kCompare, request);
-  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
-  EXPECT_TRUE(response.value().ok()) << response.value().payload;
-
-  // Kill the owner: the same call fails over to the next worker in the
-  // key's rendezvous order without the caller doing anything.
-  stop_worker(owner);
-  response = fabric.value().call(Opcode::kCompare, request);
-  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
-  EXPECT_TRUE(response.value().ok()) << response.value().payload;
 }
 
 /// This process's virtual size in KiB (VmSize in /proc/self/status).
