@@ -61,17 +61,8 @@ repro::Result<cmp::CompareReport> direct_compare(
   std::vector<std::uint64_t> all_chunks(num_chunks);
   std::iota(all_chunks.begin(), all_chunks.end(), 0);
 
-  // Interpret values like the tree would (homogeneous kind or bitwise).
-  merkle::ValueKind kind = merkle::ValueKind::kBytes;
-  if (!reader_a->info().fields.empty()) {
-    kind = reader_a->info().fields.front().kind;
-    for (const auto& field : reader_a->info().fields) {
-      if (field.kind != kind) {
-        kind = merkle::ValueKind::kBytes;
-        break;
-      }
-    }
-  }
+  // Interpret values as the checkpoint's tree does.
+  const merkle::ValueKind kind = reader_a->info().value_kind();
   const std::uint32_t vsize = merkle::value_size(kind);
 
   {

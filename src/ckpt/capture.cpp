@@ -120,7 +120,9 @@ repro::Status CaptureEngine::capture(const CheckpointWriter& writer) {
   if (options_.build_metadata) {
     build = run_half([&]() -> repro::Status {
       telemetry::TraceSpan span("capture.tree_build");
-      merkle::TreeBuilder builder(options_.tree, options_.exec);
+      merkle::TreeParams params = options_.tree;
+      params.value_kind = info.value_kind();
+      merkle::TreeBuilder builder(params, options_.exec);
       REPRO_ASSIGN_OR_RETURN(const merkle::MerkleTree tree,
                              builder.build(writer.data_section()));
       metadata = merkle::flat_serialize(tree);

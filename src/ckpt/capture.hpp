@@ -9,7 +9,9 @@
 // no extra pass over the bulk data. The build and the local write only read
 // the same resident bytes, so they run at the same time: the calling thread
 // builds while an engine-owned writer thread writes, and a capture blocks
-// the application for the slower of the two, not their sum.
+// the application for the slower of the two, not their sum. The tree reads
+// values as the checkpoint's own kind (CheckpointInfo::value_kind), so an
+// F64 checkpoint is hashed and later compared as F64 values.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,8 @@
 namespace repro::ckpt {
 
 struct CaptureOptions {
-  /// Parameters of the capture-time Merkle metadata.
+  /// Chunk size and hash parameters of the capture-time Merkle metadata.
+  /// tree.value_kind is not read: each tree takes its checkpoint's kind.
   merkle::TreeParams tree;
   /// Build metadata at capture time (the paper's mode). Off = bulk-only
   /// capture; trees must then be built offline (repro-cli tree).

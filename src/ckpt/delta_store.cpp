@@ -264,12 +264,10 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
   // incremental consumers keep the per-step diff), differential RMFD-only
   // otherwise; readers resolve the latter with resolve_delta_chain.
   std::uint64_t sidecar_bytes = 0;
-  if (!options_.differential_metadata || is_anchor) {
+  if (is_anchor) {
     merkle::FlatBuilder sidecar;
     REPRO_RETURN_IF_ERROR(sidecar.add("", effective_tree_));
-    if (have_tree_delta && options_.differential_metadata) {
-      sidecar.set_delta(tree_delta);
-    }
+    if (have_tree_delta) sidecar.set_delta(tree_delta);
     const std::vector<std::uint8_t> bytes = sidecar.finish();
     sidecar_bytes = bytes.size();
     REPRO_RETURN_IF_ERROR(

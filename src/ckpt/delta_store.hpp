@@ -53,10 +53,6 @@ struct DeltaStoreOptions {
   /// Every K-th capture is a full anchor (data + tree), bounding delta
   /// replay chains to K. 0 disables anchoring beyond the base capture.
   std::uint64_t anchor_interval = 16;
-  /// When false, every sidecar is a full tree (pre-dedup behavior); the
-  /// bench uses this to measure the differential savings against the
-  /// full-per-iteration baseline.
-  bool differential_metadata = true;
 };
 
 struct DeltaStoreStats {

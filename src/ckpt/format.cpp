@@ -26,6 +26,15 @@ const FieldInfo* CheckpointInfo::field_at(std::uint64_t offset) const noexcept {
   return nullptr;
 }
 
+merkle::ValueKind CheckpointInfo::value_kind() const noexcept {
+  if (fields.empty()) return merkle::ValueKind::kBytes;
+  const merkle::ValueKind kind = fields.front().kind;
+  for (const auto& field : fields) {
+    if (field.kind != kind) return merkle::ValueKind::kBytes;
+  }
+  return kind;
+}
+
 CheckpointWriter::CheckpointWriter(std::string application, std::string run_id,
                                    std::uint64_t iteration,
                                    std::uint32_t rank) {

@@ -52,6 +52,12 @@ struct CheckpointInfo {
 
   /// Field containing data-section byte `offset`, or nullptr.
   [[nodiscard]] const FieldInfo* field_at(std::uint64_t offset) const noexcept;
+
+  /// How a tree over the whole data section reads its values: the kind
+  /// every field shares, else kBytes (fields of mixed kinds, or no fields),
+  /// hashed bitwise. Every whole-checkpoint tree is built with this kind,
+  /// and a compare rejects a sidecar that records another.
+  [[nodiscard]] merkle::ValueKind value_kind() const noexcept;
 };
 
 /// Accumulates fields in memory, then writes header + data in one pass.

@@ -76,26 +76,4 @@ repro::Result<std::uint64_t> Args::get_size(const std::string& flag,
   return repro::parse_size(it->second);
 }
 
-repro::Result<std::vector<std::uint64_t>> Args::get_u64_list(
-    const std::string& flag, std::vector<std::uint64_t> fallback) const {
-  const auto it = flags_.find(flag);
-  if (it == flags_.end()) return fallback;
-  std::vector<std::uint64_t> values;
-  std::size_t pos = 0;
-  const std::string& text = it->second;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data() + pos, text.data() + comma, value);
-    if (ec != std::errc{} || ptr != text.data() + comma) {
-      return repro::invalid_argument("--" + flag +
-                                     " expects comma-separated integers");
-    }
-    values.push_back(value);
-    pos = comma + 1;
-  }
-  return values;
-}
-
 }  // namespace repro::cli

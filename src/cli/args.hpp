@@ -32,9 +32,6 @@ class Args {
   /// Accepts size suffixes ("4K", "64K", "1M").
   [[nodiscard]] repro::Result<std::uint64_t> get_size(
       const std::string& flag, std::uint64_t fallback) const;
-  /// Comma-separated u64 list.
-  [[nodiscard]] repro::Result<std::vector<std::uint64_t>> get_u64_list(
-      const std::string& flag, std::vector<std::uint64_t> fallback) const;
 
  private:
   std::vector<std::string> positional_;

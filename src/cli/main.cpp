@@ -12,6 +12,7 @@
 // verdict: 0 = within bound, 1 = divergence found, 2 = usage or runtime
 // error.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -197,6 +198,19 @@ repro::Result<merkle::TreeParams> tree_params_from(const Args& args) {
   return params;
 }
 
+/// The tree of a checkpoint's data section: the flag parameters, reading
+/// values as the checkpoint's own kind (CheckpointInfo::value_kind), as a
+/// capture of the same checkpoint does.
+repro::Result<merkle::MerkleTree> checkpoint_tree(
+    const std::filesystem::path& path, merkle::TreeParams params) {
+  REPRO_ASSIGN_OR_RETURN(const ckpt::CheckpointReader reader,
+                         ckpt::CheckpointReader::open(path));
+  REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> data,
+                         reader.read_data());
+  params.value_kind = reader.info().value_kind();
+  return merkle::TreeBuilder(params, par::Exec::parallel()).build(data);
+}
+
 int cmd_simulate(const Args& args) {
   if (!args.has("out") || !args.has("run")) {
     std::fprintf(stderr, "simulate requires --out DIR and --run ID\n");
@@ -283,14 +297,7 @@ int cmd_tree(const Args& args) {
   const std::filesystem::path ckpt_path = args.positional()[1];
   auto params = tree_params_from(args);
   if (!params.is_ok()) return fail(params.status());
-
-  auto reader = ckpt::CheckpointReader::open(ckpt_path);
-  if (!reader.is_ok()) return fail(reader.status());
-  auto data = reader.value().read_data();
-  if (!data.is_ok()) return fail(data.status());
-
-  merkle::TreeBuilder builder(params.value(), par::Exec::parallel());
-  auto tree = builder.build(data.value());
+  auto tree = checkpoint_tree(ckpt_path, params.value());
   if (!tree.is_ok()) return fail(tree.status());
 
   const std::filesystem::path out =
@@ -306,7 +313,7 @@ int cmd_tree(const Args& args) {
               params.value().hash.error_bound,
               repro::format_size(tree.value().metadata_bytes()).c_str(),
               100.0 * static_cast<double>(tree.value().metadata_bytes()) /
-                  static_cast<double>(data.value().size()));
+                  static_cast<double>(tree.value().data_bytes()));
   return 0;
 }
 
@@ -810,13 +817,7 @@ int cmd_prove(const Args& args) {
   if (!index.is_ok()) return fail(index.status());
   auto params = tree_params_from(args);
   if (!params.is_ok()) return fail(params.status());
-
-  auto reader = ckpt::CheckpointReader::open(args.positional()[1]);
-  if (!reader.is_ok()) return fail(reader.status());
-  auto data = reader.value().read_data();
-  if (!data.is_ok()) return fail(data.status());
-  auto tree = merkle::TreeBuilder(params.value(), par::Exec::parallel())
-                  .build(data.value());
+  auto tree = checkpoint_tree(args.positional()[1], params.value());
   if (!tree.is_ok()) return fail(tree.status());
 
   auto proof = merkle::prove_inclusion(tree.value(), index.value());
@@ -846,11 +847,15 @@ int cmd_verify(const Args& args) {
     std::fprintf(stderr, "--root must be 32 hex chars\n");
     return 2;
   }
+  // Each 16-digit half must parse whole: a root with a stray character is
+  // a usage error, not a verdict.
+  const auto parse_half = [&](std::size_t at, std::uint64_t& word) {
+    const char* begin = root_hex.data() + at;
+    const auto [end, ec] = std::from_chars(begin, begin + 16, word, 16);
+    return ec == std::errc{} && end == begin + 16;
+  };
   hash::Digest128 root;
-  try {
-    root.lo = std::stoull(root_hex.substr(0, 16), nullptr, 16);
-    root.hi = std::stoull(root_hex.substr(16, 16), nullptr, 16);
-  } catch (const std::exception&) {
+  if (!parse_half(0, root.lo) || !parse_half(16, root.hi)) {
     std::fprintf(stderr, "--root is not valid hex\n");
     return 2;
   }
@@ -866,6 +871,7 @@ int cmd_verify(const Args& args) {
   if (!reader.is_ok()) return fail(reader.status());
   auto data = reader.value().read_data();
   if (!data.is_ok()) return fail(data.status());
+  params.value().value_kind = reader.value().info().value_kind();
   const std::uint64_t begin =
       proof.value().chunk * params.value().chunk_bytes;
   if (begin >= data.value().size()) {
@@ -971,12 +977,14 @@ int cmd_delta(const Args& args) {
     return 2;
   }
 
-  auto store = ckpt::DeltaStore::load(root, run,
-                                      static_cast<std::uint32_t>(rank),
-                                      options);
-  if (!store.is_ok()) return fail(store.status());
+  const auto load_store = [&] {
+    return ckpt::DeltaStore::load(root, run, static_cast<std::uint32_t>(rank),
+                                  options);
+  };
 
   if (action == "stats") {
+    auto store = load_store();
+    if (!store.is_ok()) return fail(store.status());
     const ckpt::DeltaStoreStats& stats = store.value().stats();
     // load() only recovers iteration numbers, not historical stats; report
     // what is recoverable: the iteration list and on-disk footprint.
@@ -1022,10 +1030,15 @@ int cmd_delta(const Args& args) {
   const std::filesystem::path file = args.positional()[6];
 
   if (action == "append") {
+    // The store's trees read values as the checkpoint's own kind, so it
+    // elides only chunks unchanged at the data's type.
     auto reader = ckpt::CheckpointReader::open(file);
     if (!reader.is_ok()) return fail(reader.status());
+    options.tree.value_kind = reader.value().info().value_kind();
     auto data = reader.value().read_data();
     if (!data.is_ok()) return fail(data.status());
+    auto store = load_store();
+    if (!store.is_ok()) return fail(store.status());
     const repro::Status status =
         store.value().append(iteration, data.value());
     if (!status.is_ok()) return fail(status);
@@ -1038,6 +1051,8 @@ int cmd_delta(const Args& args) {
     return 0;
   }
   if (action == "reconstruct") {
+    auto store = load_store();
+    if (!store.is_ok()) return fail(store.status());
     auto data = store.value().reconstruct(iteration);
     if (!data.is_ok()) return fail(data.status());
     const repro::Status status = repro::write_file(file, data.value());
@@ -1352,12 +1367,7 @@ int cmd_watch(const Args& args) {
   merkle::MerkleTree previous;
   std::uint64_t previous_iteration = 0;
   for (const auto& ref : work) {
-    auto reader = ckpt::CheckpointReader::open(ref.checkpoint_path);
-    if (!reader.is_ok()) return fail(reader.status());
-    auto data = reader.value().read_data();
-    if (!data.is_ok()) return fail(data.status());
-    auto tree = merkle::TreeBuilder(params.value(), par::Exec::parallel())
-                    .build(data.value());
+    auto tree = checkpoint_tree(ref.checkpoint_path, params.value());
     if (!tree.is_ok()) return fail(tree.status());
 
     if (!opened) {
@@ -1367,8 +1377,8 @@ int cmd_watch(const Args& args) {
       repro::append_kv(open_payload, "run", run, &first);
       repro::append_kv(open_payload, "reference", reference, &first);
       repro::append_kv(open_payload, "rank", rank.value(), &first);
-      repro::append_kv(open_payload, "data_bytes",
-                       std::uint64_t{data.value().size()}, &first);
+      repro::append_kv(open_payload, "data_bytes", tree.value().data_bytes(),
+                       &first);
       repro::append_kv(open_payload, "eps", params.value().hash.error_bound,
                        &first);
       repro::append_kv(open_payload, "chunk_bytes",
@@ -1376,6 +1386,9 @@ int cmd_watch(const Args& args) {
       repro::append_kv(open_payload, "values_per_block",
                        std::uint64_t{params.value().hash.values_per_block},
                        &first);
+      repro::append_kv(
+          open_payload, "value_kind",
+          merkle::value_kind_name(tree.value().params().value_kind), &first);
       open_payload += '}';
       auto open_reply = client.value().watch_open(open_payload);
       if (!open_reply.is_ok()) return fail(open_reply.status());

@@ -37,7 +37,6 @@ repro::Result<ScalingResult> run_scaling(
         if (options.method == Method::kOurs) {
           cmp::CompareOptions ours = options.ours;
           ours.exec = par::Exec::serial();
-          ours.tree_compare.exec = par::Exec::serial();
           report = cmp::compare_pair(pair, ours);
         } else {
           baseline::DirectOptions direct = options.direct;

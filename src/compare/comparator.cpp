@@ -38,25 +38,14 @@ struct PairMetrics {
   }
 };
 
-/// All-fields-same-kind detection: the tree interprets the data section as
-/// one typed array, so mixed-kind checkpoints degrade to bitwise hashing.
-merkle::ValueKind dominant_kind(const ckpt::CheckpointInfo& info) {
-  if (info.fields.empty()) return merkle::ValueKind::kBytes;
-  const merkle::ValueKind kind = info.fields.front().kind;
-  for (const auto& field : info.fields) {
-    if (field.kind != kind) return merkle::ValueKind::kBytes;
-  }
-  return kind;
-}
-
 /// The tree of a checkpoint captured without metadata: options.tree at
-/// options.error_bound, over the checkpoint's dominant value kind.
+/// options.error_bound, over the checkpoint's own value kind.
 repro::Result<merkle::MerkleTree> build_tree(
     const ckpt::CheckpointInfo& info, std::span<const std::uint8_t> data,
     const CompareOptions& options) {
   merkle::TreeParams params = options.tree;
   params.hash.error_bound = options.error_bound;
-  params.value_kind = dominant_kind(info);
+  params.value_kind = info.value_kind();
   return merkle::TreeBuilder(params, options.exec).build(data);
 }
 
@@ -157,6 +146,18 @@ repro::Status load_tree(Side& side, const std::filesystem::path& metadata_path,
         std::to_string(pinned.view.data_bytes()) +
         " bytes but its checkpoint has " +
         std::to_string(side.info.data_bytes()));
+  }
+  // Stage 2 reads values as the tree's kind, and the ε guarantee holds only
+  // for digests of values quantized as the type they are.
+  const merkle::ValueKind tree_kind = pinned.view.params().value_kind;
+  const merkle::ValueKind kind = side.info.value_kind();
+  if (tree_kind != kind) {
+    return repro::failed_precondition(
+        "metadata " + metadata_path.string() + " has value kind " +
+        std::string{merkle::value_kind_name(tree_kind)} +
+        " but its checkpoint's values are " +
+        std::string{merkle::value_kind_name(kind)} +
+        "; rebuild it with repro-cli tree");
   }
   side.tree = std::move(pinned);
   return repro::Status::ok();

@@ -46,6 +46,7 @@ struct CompareOptions {
   io::BackendOptions backend_options;
 
   io::StreamOptions stream;
+  /// Stage 1's options. Its exec is not read: stage 1 runs on `exec`.
   merkle::TreeCompareOptions tree_compare;
   par::Exec exec = par::Exec::parallel();
 

@@ -14,7 +14,9 @@
 // or a tree built when build_metadata_if_missing allows), the live run a
 // resident Side whose flagged chunks are copied out of memory by the
 // stage-2 streamer. Verdicts, flagged chunks and the diff sample therefore
-// match compare_pair on the same pair written to disk.
+// match compare_pair on the same pair written to disk. Both trees read
+// values as their checkpoint's own kind, so an F64 live run checks against
+// an F64 reference captured by CaptureEngine.
 //
 // Typical use inside a simulation loop (see examples/online_monitor.cpp):
 //
@@ -51,8 +53,11 @@ class OnlineComparator {
   /// iteration and rank) against the reference run's checkpoint for the
   /// same (iteration, rank). Reads reference metadata + only the flagged
   /// reference chunks; the live side stays in memory. The live tree is
-  /// built with options.tree at options.error_bound, so both must match
-  /// how the reference was captured.
+  /// built with options.tree's chunk size and hash parameters at
+  /// options.error_bound, so both must match how the reference was
+  /// captured; like every whole-checkpoint tree, it reads values as the
+  /// live checkpoint's own kind (CheckpointInfo::value_kind), the kind a
+  /// capture of the same fields records.
   repro::Result<CompareReport> check(const ckpt::CheckpointWriter& writer);
 
   /// Earliest divergent iteration observed so far (across ranks checked

@@ -24,8 +24,7 @@ std::filesystem::path sibling_sidecar(const std::filesystem::path& path,
 bool NodeStore::insert(const hash::Digest128& digest) {
   ++stats_.inserts;
   ++stats_.total_refs;
-  auto [it, fresh] = refs_.try_emplace(digest, 0);
-  ++it->second;
+  const bool fresh = digests_.insert(digest).second;
   if (fresh) {
     ++stats_.unique_nodes;
   } else {
@@ -41,23 +40,6 @@ std::uint64_t NodeStore::insert_all(
     fresh += insert(digest) ? 1 : 0;
   }
   return fresh;
-}
-
-bool NodeStore::release(const hash::Digest128& digest) {
-  auto it = refs_.find(digest);
-  if (it == refs_.end()) return false;
-  --stats_.total_refs;
-  if (--it->second == 0) {
-    refs_.erase(it);
-    --stats_.unique_nodes;
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t NodeStore::refcount(const hash::Digest128& digest) const {
-  auto it = refs_.find(digest);
-  return it == refs_.end() ? 0 : it->second;
 }
 
 std::vector<std::uint64_t> dirty_node_indices(
@@ -77,11 +59,10 @@ std::vector<std::uint64_t> dirty_node_indices(
   return dirty;
 }
 
-namespace {
-
-repro::Status check_delta_pair(const MerkleTree& base, const MerkleTree& next,
-                               std::uint64_t base_iteration,
-                               std::uint64_t iteration) {
+repro::Result<TreeDelta> compute_tree_delta(const MerkleTree& base,
+                                            const MerkleTree& next,
+                                            std::uint64_t base_iteration,
+                                            std::uint64_t iteration) {
   if (base_iteration >= iteration) {
     return repro::failed_precondition(
         "tree delta base_iteration must precede iteration");
@@ -94,53 +75,17 @@ repro::Status check_delta_pair(const MerkleTree& base, const MerkleTree& next,
     return repro::failed_precondition(
         "tree delta requires matching tree params");
   }
-  return repro::Status::ok();
-}
-
-TreeDelta delta_shell(const MerkleTree& next, std::uint64_t base_iteration,
-                      std::uint64_t iteration) {
   TreeDelta delta;
   delta.iteration = iteration;
   delta.base_iteration = base_iteration;
   delta.params = next.params();
   delta.data_bytes = next.data_bytes();
   delta.num_leaves = next.layout().num_leaves;
-  return delta;
-}
-
-}  // namespace
-
-repro::Result<TreeDelta> compute_tree_delta(const MerkleTree& base,
-                                            const MerkleTree& next,
-                                            std::uint64_t base_iteration,
-                                            std::uint64_t iteration) {
-  REPRO_RETURN_IF_ERROR(
-      check_delta_pair(base, next, base_iteration, iteration));
-  TreeDelta delta = delta_shell(next, base_iteration, iteration);
   const std::span<const hash::Digest128> old_nodes = base.nodes();
   const std::span<const hash::Digest128> new_nodes = next.nodes();
   for (std::uint64_t i = 0; i < new_nodes.size(); ++i) {
     if (!(old_nodes[i] == new_nodes[i])) {
       delta.nodes.push_back({i, new_nodes[i]});
-    }
-  }
-  return delta;
-}
-
-repro::Result<TreeDelta> compute_tree_delta(
-    const MerkleTree& base, const MerkleTree& next,
-    std::span<const std::uint64_t> candidates, std::uint64_t base_iteration,
-    std::uint64_t iteration) {
-  REPRO_RETURN_IF_ERROR(
-      check_delta_pair(base, next, base_iteration, iteration));
-  TreeDelta delta = delta_shell(next, base_iteration, iteration);
-  for (const std::uint64_t index : candidates) {
-    if (index >= next.nodes().size()) {
-      return repro::failed_precondition(
-          "delta candidate index exceeds tree node count");
-    }
-    if (!(base.node(index) == next.node(index))) {
-      delta.nodes.push_back({index, next.node(index)});
     }
   }
   return delta;

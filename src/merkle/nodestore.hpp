@@ -2,17 +2,17 @@
 //
 // Consecutive checkpoints share almost all subtrees, so storing one full
 // sidecar per iteration duplicates the stable fraction of the tree every
-// time. The NodeStore counts references per distinct node digest, which
-// makes the dedup arithmetic exact: metadata cost grows with divergence,
-// not with iterations. The free functions compute/apply the RMFD deltas
-// (merkle/flat.hpp) that carry only the changed subtrees between
-// iterations, and resolve a chain of differential sidecars back into a
-// materialized tree starting from the nearest full-tree anchor.
+// time. The NodeStore keeps each distinct node digest once and counts every
+// reference, which makes the dedup arithmetic exact: metadata cost grows
+// with divergence, not with iterations. The free functions compute/apply
+// the RMFD deltas (merkle/flat.hpp) that carry only the changed subtrees
+// between iterations, and resolve a chain of differential sidecars back
+// into a materialized tree starting from the nearest full-tree anchor.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.hpp"
@@ -22,15 +22,16 @@
 
 namespace repro::merkle {
 
-/// Refcounted set of distinct node digests. Insertion is content-addressed:
-/// a digest seen before only bumps its refcount, so `unique_bytes()` is the
-/// deduplicated metadata footprint while `total_refs * kDigestBytes` is what
-/// full-per-iteration sidecars would have stored.
+/// Set of distinct node digests that counts references to them. Insertion
+/// is content-addressed: a digest seen before only counts a reference, so
+/// `unique_bytes()` is the deduplicated metadata footprint while
+/// `total_refs * kDigestBytes` is what full-per-iteration sidecars would
+/// have stored.
 class NodeStore {
  public:
   struct Stats {
-    std::uint64_t unique_nodes = 0;  ///< digests currently stored
-    std::uint64_t total_refs = 0;    ///< live references across all digests
+    std::uint64_t unique_nodes = 0;  ///< digests stored
+    std::uint64_t total_refs = 0;    ///< references across all digests
     std::uint64_t inserts = 0;       ///< insert() calls ever made
     std::uint64_t deduped = 0;       ///< inserts that hit an existing digest
 
@@ -51,13 +52,8 @@ class NodeStore {
   /// Add one reference per digest; returns how many were new.
   std::uint64_t insert_all(std::span<const hash::Digest128> digests);
 
-  /// Drop one reference; returns true when the last reference was removed.
-  /// Releasing an unknown digest is a no-op returning false.
-  bool release(const hash::Digest128& digest);
-
-  [[nodiscard]] std::uint64_t refcount(const hash::Digest128& digest) const;
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::uint64_t size() const noexcept { return refs_.size(); }
+  [[nodiscard]] std::uint64_t size() const noexcept { return digests_.size(); }
 
  private:
   struct DigestHash {
@@ -66,7 +62,7 @@ class NodeStore {
       return static_cast<std::size_t>(d.lo ^ (d.hi * 0x9E3779B97F4A7C15ULL));
     }
   };
-  std::unordered_map<hash::Digest128, std::uint64_t, DigestHash> refs_;
+  std::unordered_set<hash::Digest128, DigestHash> digests_;
   Stats stats_;
 };
 
@@ -81,14 +77,6 @@ repro::Result<TreeDelta> compute_tree_delta(const MerkleTree& base,
                                             const MerkleTree& next,
                                             std::uint64_t base_iteration,
                                             std::uint64_t iteration);
-
-/// Same, but comparing only `candidates` (sorted node indices) — callers
-/// that already know which subtrees an update touched (dirty_node_indices)
-/// get O(k log n) instead of O(n).
-repro::Result<TreeDelta> compute_tree_delta(
-    const MerkleTree& base, const MerkleTree& next,
-    std::span<const std::uint64_t> candidates, std::uint64_t base_iteration,
-    std::uint64_t iteration);
 
 /// Reconstruct the tree at `delta.iteration` from the tree at
 /// `delta.base_iteration`. Layout and params must match the delta header.

@@ -1,7 +1,6 @@
 #include "merkle/proof.hpp"
 
 #include "common/bytes.hpp"
-#include "hash/chunk_hasher.hpp"
 #include "hash/murmur3.hpp"
 
 namespace repro::merkle {
@@ -112,27 +111,7 @@ repro::Status verify_chunk_data(const InclusionProof& proof,
                                 const TreeParams& params,
                                 const hash::Digest128& expected_root) {
   REPRO_RETURN_IF_ERROR(validate(params));
-  hash::Digest128 digest;
-  switch (params.value_kind) {
-    case ValueKind::kF32:
-      digest = hash::hash_chunk_f32(
-          std::span<const float>(
-              reinterpret_cast<const float*>(chunk_data.data()),
-              chunk_data.size() / sizeof(float)),
-          params.hash);
-      break;
-    case ValueKind::kF64:
-      digest = hash::hash_chunk_f64(
-          std::span<const double>(
-              reinterpret_cast<const double*>(chunk_data.data()),
-              chunk_data.size() / sizeof(double)),
-          params.hash);
-      break;
-    case ValueKind::kBytes:
-      digest =
-          hash::hash_chunk_bytes(chunk_data, params.hash.values_per_block * 4);
-      break;
-  }
+  const hash::Digest128 digest = leaf_digest(params, chunk_data);
   if (digest != proof.leaf) {
     return repro::failed_precondition(
         "chunk data hashes to " + digest.hex() +

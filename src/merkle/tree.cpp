@@ -83,27 +83,22 @@ repro::Result<MerkleTree> MerkleTree::from_parts(
   return tree;
 }
 
-hash::Digest128 TreeBuilder::hash_chunk(std::span<const std::uint8_t> data,
-                                        const MerkleTree& tree,
-                                        std::uint64_t chunk) const {
-  const auto [begin, end] = tree.chunk_range(chunk);
-  const std::uint8_t* base = data.data() + begin;
-  const std::uint64_t bytes = end - begin;
-  const std::uint32_t vsize = value_size(params_.value_kind);
-  switch (params_.value_kind) {
+hash::Digest128 leaf_digest(const TreeParams& params,
+                            std::span<const std::uint8_t> chunk) {
+  switch (params.value_kind) {
     case ValueKind::kF32:
       return hash::hash_chunk_f32(
-          std::span<const float>(reinterpret_cast<const float*>(base),
-                                 bytes / vsize),
-          params_.hash);
+          std::span<const float>(reinterpret_cast<const float*>(chunk.data()),
+                                 chunk.size() / sizeof(float)),
+          params.hash);
     case ValueKind::kF64:
       return hash::hash_chunk_f64(
-          std::span<const double>(reinterpret_cast<const double*>(base),
-                                  bytes / vsize),
-          params_.hash);
+          std::span<const double>(
+              reinterpret_cast<const double*>(chunk.data()),
+              chunk.size() / sizeof(double)),
+          params.hash);
     case ValueKind::kBytes:
-      return hash::hash_chunk_bytes(std::span<const std::uint8_t>(base, bytes),
-                                    params_.hash.values_per_block * 4);
+      return hash::hash_chunk_bytes(chunk, params.hash.values_per_block * 4);
   }
   return {};
 }
@@ -143,7 +138,9 @@ repro::Result<MerkleTree> TreeBuilder::build(
   // Leaf level: every chunk hashed independently (Algorithm 1, first loop).
   // One chunk is tens of microseconds of hashing, so any two fan out.
   exec_.for_each(0, num_chunks, 1, [&](std::uint64_t chunk) {
-    nodes[layout.leaf_node(chunk)] = hash_chunk(data, tree, chunk);
+    const auto [begin, end] = tree.chunk_range(chunk);
+    nodes[layout.leaf_node(chunk)] =
+        leaf_digest(params_, data.subspan(begin, end - begin));
   });
 
   // Internal levels, bottom-up; nodes within a level are independent
@@ -183,7 +180,9 @@ repro::Status TreeBuilder::update_leaves(
   // Rehash the dirty leaves in parallel, as build() does.
   exec_.for_each(0, changed_chunks.size(), 1, [&](std::uint64_t i) {
     const std::uint64_t chunk = changed_chunks[i];
-    nodes[layout.leaf_node(chunk)] = hash_chunk(data, tree, chunk);
+    const auto [begin, end] = tree.chunk_range(chunk);
+    nodes[layout.leaf_node(chunk)] =
+        leaf_digest(params_, data.subspan(begin, end - begin));
   });
 
   // Propagate upward level by level. The dirty frontier only shrinks, so a

@@ -40,6 +40,13 @@ struct TreeParams {
 
 repro::Status validate(const TreeParams& params);
 
+/// Digest of one chunk's bytes under `params`: its values quantized as
+/// params.value_kind at params.hash (kBytes hashes bitwise in blocks of
+/// values_per_block * 4 bytes). The only place a leaf is hashed: tree builds
+/// and proof checks both call it.
+hash::Digest128 leaf_digest(const TreeParams& params,
+                            std::span<const std::uint8_t> chunk);
+
 /// Sentinel digest carried by padding leaves (identical across runs, so the
 /// comparison prunes padded subtrees immediately).
 hash::Digest128 padding_digest() noexcept;
@@ -128,11 +135,6 @@ class TreeBuilder {
       const;
 
  private:
-  /// Hash chunk `chunk` of `data` under params_ (shared by build/update).
-  hash::Digest128 hash_chunk(std::span<const std::uint8_t> data,
-                             const MerkleTree& tree,
-                             std::uint64_t chunk) const;
-
   TreeParams params_;
   par::Exec exec_;
 };

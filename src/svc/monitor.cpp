@@ -1,6 +1,7 @@
 #include "svc/monitor.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "ckpt/history.hpp"
 #include "common/build_info.hpp"
@@ -52,6 +53,16 @@ struct WatchMetrics {
 
 WatchReply bad_request(std::string_view message) {
   return {WireStatus::kBadRequest, error_payload(message)};
+}
+
+/// The value kind merkle::value_kind_name() spells `name`, if any.
+std::optional<merkle::ValueKind> value_kind_named(std::string_view name) {
+  for (const merkle::ValueKind kind :
+       {merkle::ValueKind::kF32, merkle::ValueKind::kF64,
+        merkle::ValueKind::kBytes}) {
+    if (merkle::value_kind_name(kind) == name) return kind;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -150,6 +161,14 @@ WatchReply Monitor::open(std::uint64_t conn_id,
       parsed->u64_or("chunk_bytes", session->params.chunk_bytes);
   session->params.hash.values_per_block = static_cast<std::uint32_t>(
       parsed->u64_or("values_per_block", session->params.hash.values_per_block));
+  if (const telemetry::JsonValue* field = parsed->find("value_kind")) {
+    const auto named = value_kind_named(field->string);
+    if (field->kind != telemetry::JsonValue::Kind::kString ||
+        !named.has_value()) {
+      return bad_request("WATCH_OPEN value_kind must be f32, f64 or bytes");
+    }
+    session->params.value_kind = *named;
+  }
   session->error_bound =
       parsed->number_or("eps", options_.compare.error_bound);
   session->params.hash.error_bound = session->error_bound;
@@ -166,6 +185,8 @@ WatchReply Monitor::open(std::uint64_t conn_id,
   append_kv(out, "reference", session->reference, &first);
   append_kv(out, "rank", std::uint64_t{session->rank}, &first);
   append_kv(out, "chunk_bytes", session->params.chunk_bytes, &first);
+  append_kv(out, "value_kind",
+            merkle::value_kind_name(session->params.value_kind), &first);
   append_kv(out, "num_leaves", session->num_leaves, &first);
   append_kv(out, "eps", session->error_bound, &first);
   out += '}';

@@ -55,7 +55,7 @@ struct MonitorOptions {
   std::filesystem::path alert_path;
 
   /// Base tree/ε configuration; WATCH_OPEN requests may override
-  /// chunk_bytes / eps / values_per_block per session.
+  /// chunk_bytes / eps / values_per_block / value_kind per session.
   cmp::CompareOptions compare;
 
   /// Concurrent session cap (one session per connection).
@@ -88,7 +88,9 @@ class Monitor {
   repro::Status open_alert_log();
 
   /// WATCH_OPEN: {"root","run","reference","data_bytes"} plus optional
-  /// "rank", "eps", "chunk_bytes", "values_per_block". `parent` is the
+  /// "rank", "eps", "chunk_bytes", "values_per_block" and "value_kind"
+  /// ("f32", "f64" or "bytes"; absent means compare.tree's kind). The reply
+  /// echoes the session's parameters, value_kind included. `parent` is the
   /// server-side span handling the verb (invalid when tracing is off or
   /// the request carried no trace-context trailer); monitor-internal spans
   /// link under it so a merged timeline keeps the causal chain.

@@ -75,22 +75,6 @@ TEST(Args, TypedParsingErrors) {
   EXPECT_FALSE(args.get_f64("ratio", 0).is_ok());
 }
 
-TEST(Args, U64List) {
-  const Args args = parse({"--iters", "10,20,30"});
-  EXPECT_EQ(args.get_u64_list("iters", {}).value(),
-            (std::vector<std::uint64_t>{10, 20, 30}));
-  const Args single = parse({"--iters", "5"});
-  EXPECT_EQ(single.get_u64_list("iters", {}).value(),
-            (std::vector<std::uint64_t>{5}));
-}
-
-TEST(Args, U64ListErrors) {
-  EXPECT_FALSE(
-      parse({"--iters", "10,,30"}).get_u64_list("iters", {}).is_ok());
-  EXPECT_FALSE(
-      parse({"--iters", "10,x"}).get_u64_list("iters", {}).is_ok());
-}
-
 TEST(Args, BareDoubleDashRejected) {
   const char* argv[] = {"--"};
   EXPECT_FALSE(Args::parse(1, argv).is_ok());

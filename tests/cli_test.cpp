@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/format.hpp"
 #include "common/fs.hpp"
 
 namespace {
@@ -47,6 +48,18 @@ class CliTest : public ::testing::Test {
         "simulate --out " + pfs() + " --run " + run +
         " --particles 4096 --steps 10 --capture-every 5 --mesh 16 " + extra);
     ASSERT_EQ(result.exit_code, 0) << result.output;
+  }
+
+  /// One-field F64 checkpoints a.ckpt (2^14 values, all 100.0) and b.ckpt,
+  /// which holds 100.0001 at index 1000: 100x the default --eps from a.
+  void write_f64_pair() {
+    std::vector<double> values(1 << 14, 100.0);
+    for (const char* name : {"a.ckpt", "b.ckpt"}) {
+      repro::ckpt::CheckpointWriter writer("test", "f64", 1, 0);
+      ASSERT_TRUE(writer.add_field_f64("X", values).is_ok());
+      ASSERT_TRUE(writer.write(dir_.file(name)).is_ok());
+      values[1000] = 100.0001;
+    }
   }
 
   repro::TempDir dir_;
@@ -155,6 +168,92 @@ TEST_F(CliTest, TreeAndInspect) {
   EXPECT_EQ(inspect_tree.exit_code, 0);
   EXPECT_NE(inspect_tree.output.find("root digest"), std::string::npos);
   EXPECT_NE(inspect_tree.output.find("error bound"), std::string::npos);
+}
+
+TEST_F(CliTest, TreeOfAnF64CheckpointRecordsF64) {
+  write_f64_pair();
+  const CommandResult tree =
+      run_cli("tree " + pfs() + "/a.ckpt --out " + pfs() + "/a.rmrk");
+  ASSERT_EQ(tree.exit_code, 0) << tree.output;
+  const CommandResult inspect = run_cli("inspect " + pfs() + "/a.rmrk");
+  EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
+  EXPECT_NE(inspect.output.find("value kind    f64"), std::string::npos)
+      << inspect.output;
+}
+
+TEST_F(CliTest, CompareOfF64CheckpointsCountsWhatDirectCounts) {
+  write_f64_pair();
+  for (const char* name : {"/a.ckpt", "/b.ckpt"}) {
+    const CommandResult tree = run_cli("tree " + pfs() + name);
+    ASSERT_EQ(tree.exit_code, 0) << tree.output;
+  }
+  const std::string pair = pfs() + "/a.ckpt " + pfs() + "/b.ckpt";
+  const CommandResult direct = run_cli("compare " + pair + " --method direct");
+  EXPECT_EQ(direct.exit_code, 1) << direct.output;
+  EXPECT_NE(direct.output.find("direct: 1 values exceed"), std::string::npos)
+      << direct.output;
+  const CommandResult ours = run_cli("compare " + pair);
+  EXPECT_EQ(ours.exit_code, 1) << ours.output;
+  EXPECT_NE(ours.output.find("ours: 1 values exceed"), std::string::npos)
+      << ours.output;
+}
+
+TEST_F(CliTest, VerifyOfAnotherF64CheckpointIsRejected) {
+  write_f64_pair();
+  const std::string proof = pfs() + "/chunk0.rprf";
+  const CommandResult prove =
+      run_cli("prove " + pfs() + "/a.ckpt --index 0 --out " + proof);
+  ASSERT_EQ(prove.exit_code, 0) << prove.output;
+  const auto pin = prove.output.find("pin this root: ");
+  ASSERT_NE(pin, std::string::npos);
+  const std::string root = prove.output.substr(pin + 15, 32);
+
+  const CommandResult same =
+      run_cli("verify " + proof + " " + pfs() + "/a.ckpt --root " + root);
+  EXPECT_EQ(same.exit_code, 0) << same.output;
+  const CommandResult other =
+      run_cli("verify " + proof + " " + pfs() + "/b.ckpt --root " + root);
+  EXPECT_EQ(other.exit_code, 1) << other.output;
+  EXPECT_NE(other.output.find("REJECTED"), std::string::npos) << other.output;
+}
+
+TEST_F(CliTest, VerifyRejectsMalformedRootHex) {
+  write_f64_pair();
+  const std::string proof = pfs() + "/chunk0.rprf";
+  ASSERT_EQ(run_cli("prove " + pfs() + "/a.ckpt --index 0 --out " + proof)
+                .exit_code,
+            0);
+  // Both halves start with a hex digit, so a parse that stops at the first
+  // bad character would read a root and give a verdict.
+  const CommandResult result =
+      run_cli("verify " + proof + " " + pfs() +
+              "/a.ckpt --root 1zzzzzzzzzzzzzzz2zzzzzzzzzzzzzzz");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--root is not valid hex"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CliTest, DeltaOfF64CheckpointsReconstructsEveryByte) {
+  write_f64_pair();
+  const std::string store = pfs() + "/delta";
+  for (const auto& [iteration, file] :
+       {std::pair{"1", "/a.ckpt"}, std::pair{"2", "/b.ckpt"}}) {
+    const CommandResult append = run_cli("delta append " + store + " f64 0 " +
+                                         iteration + " " + pfs() + file);
+    ASSERT_EQ(append.exit_code, 0) << append.output;
+  }
+  const std::string out = pfs() + "/b.data";
+  const CommandResult reconstruct =
+      run_cli("delta reconstruct " + store + " f64 0 2 " + out);
+  ASSERT_EQ(reconstruct.exit_code, 0) << reconstruct.output;
+
+  const auto restored = repro::read_file(out);
+  const auto checkpoint = repro::read_file(dir_.file("b.ckpt"));
+  ASSERT_TRUE(restored.is_ok() && checkpoint.is_ok());
+  const std::vector<std::uint8_t> data_section(
+      checkpoint.value().begin() + repro::ckpt::kHeaderBytes,
+      checkpoint.value().end());
+  EXPECT_TRUE(restored.value() == data_section);
 }
 
 TEST_F(CliTest, InfoRejectsLegacySidecarAndNamesTheFix) {
@@ -514,6 +613,62 @@ TEST_F(CliTest, ServeAndClientRoundTrip) {
   EXPECT_NE(result.output.find("OK"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("\"cache\""), std::string::npos)
       << result.output;
+}
+
+// `repro-cli watch` against a live daemon, on rank 0 of the history
+// TimelineReportsInjectedFirstDivergence simulates: noise from iteration 7,
+// so the first divergent capture is iteration 8.
+TEST_F(CliTest, WatchReportsInjectedFirstDivergence) {
+  const std::string base =
+      " --particles 4096 --steps 12 --capture-every 2 --mesh 16"
+      " --jitter 1e-3 --noise-start 7";
+  ASSERT_EQ(run_cli("simulate --out " + pfs() + " --run run-1" + base +
+                    " --noise-seed 11")
+                .exit_code,
+            0);
+  ASSERT_EQ(run_cli("simulate --out " + pfs() + " --run run-2" + base +
+                    " --noise-seed 22")
+                .exit_code,
+            0);
+
+  const std::string bin = REPRO_CLI_BINARY;
+  const std::string sock = pfs() + "/reprod.sock";
+  const std::string watch = bin + " watch " + pfs() + " ";
+  const std::string script =
+      bin + " serve --socket " + sock + " --workers 1 & pid=$!; " +
+      "i=0; while [ $i -lt 200 ] && [ ! -S " + sock + " ]; do " +
+      "sleep 0.05; i=$((i+1)); done; " +
+      watch + "run-2 --reference run-1 --socket " + sock + "; " +
+      "echo \"== diverged exit $?\"; " +
+      watch + "run-1 --reference run-1 --socket " + sock + "; " +
+      "echo \"== self exit $?\"; " +
+      bin + " client shutdown --socket " + sock + "; " +
+      "wait $pid; echo \"== serve exit $?\"";
+  const CommandResult result = run_shell("sh -c '" + script + "' 2>&1");
+  const std::string& out = result.output;
+
+  const auto split = out.find("== diverged exit ");
+  ASSERT_NE(split, std::string::npos) << out;
+  const std::string diverged = out.substr(0, split);
+  const std::string self = out.substr(split);
+  EXPECT_NE(out.find("== diverged exit 1"), std::string::npos) << out;
+  for (const char* clean : {"iter2 ", "iter4 ", "iter6 "}) {
+    const auto at = diverged.find(clean);
+    ASSERT_NE(at, std::string::npos) << clean << "\n" << out;
+    const std::string line = diverged.substr(at, diverged.find('\n', at) - at);
+    EXPECT_NE(line.find(" clean "), std::string::npos) << line;
+  }
+  const auto divergent = diverged.find("divergent");
+  ASSERT_NE(divergent, std::string::npos) << out;
+  EXPECT_EQ(diverged.rfind("iter8 ", divergent),
+            diverged.rfind('\n', divergent) + 1)
+      << out;
+  EXPECT_NE(diverged.find("\"alert_iteration\":8"), std::string::npos) << out;
+
+  EXPECT_NE(self.find("== self exit 0"), std::string::npos) << out;
+  EXPECT_EQ(self.find("divergent"), std::string::npos) << out;
+  EXPECT_NE(self.find("drained"), std::string::npos) << out;
+  EXPECT_NE(self.find("== serve exit 0"), std::string::npos) << out;
 }
 
 // The observability acceptance flow across two real processes: a daemon

@@ -266,6 +266,38 @@ TEST_F(ComparatorTest, SizeMismatchRejected) {
             repro::StatusCode::kFailedPrecondition);
 }
 
+TEST_F(ComparatorTest, SidecarOfAnotherValueKindRejected) {
+  // Two F64 checkpoints, one value 100x the bound apart, each beside an
+  // f32-kind sidecar: the tree a capture writes when it ignores the
+  // checkpoint's kind, which hashes each double as two float words.
+  const double eps = 1e-5;
+  std::vector<double> x(8192, 100.0);
+  for (const char* name : {"a.ckpt", "b.ckpt"}) {
+    ckpt::CheckpointWriter writer("test", "run", 1, 0);
+    ASSERT_TRUE(writer.add_field_f64("X", x).is_ok());
+    ASSERT_TRUE(writer.write(dir_.file(name)).is_ok());
+    const auto tree =
+        merkle::TreeBuilder(tree_params(eps), par::Exec::serial())
+            .build(writer.data_section());
+    ASSERT_TRUE(tree.is_ok());
+    ASSERT_TRUE(merkle::save_flat(tree.value(),
+                                  dir_.file(name).string() + ".rmrk")
+                    .is_ok());
+    x[1000] += 1e-3;
+  }
+  const auto report =
+      compare_files(dir_.file("a.ckpt"), dir_.file("b.ckpt"), options(eps));
+  ASSERT_FALSE(report.is_ok());
+  EXPECT_EQ(report.status().code(), repro::StatusCode::kFailedPrecondition);
+  const std::string message{report.status().message()};
+  EXPECT_NE(message.find(dir_.file("a.ckpt").string() + ".rmrk"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("value kind f32"), std::string::npos) << message;
+  EXPECT_NE(message.find("f64"), std::string::npos) << message;
+  EXPECT_NE(message.find("repro-cli tree"), std::string::npos) << message;
+}
+
 TEST_F(ComparatorTest, HistoriesFirstDivergence) {
   ckpt::HistoryCatalog catalog{dir_.path()};
   const auto params = tree_params(1e-5);

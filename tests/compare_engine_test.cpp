@@ -4,7 +4,8 @@
 // baseline (no metadata, full element-wise scan) computes on the same pair,
 // and the entry points that share one tree geometry must flag the same
 // chunks. Inputs: three seeds x {identical, sparse, clustered} divergence on
-// a three-field F32 checkpoint whose fields straddle chunk boundaries.
+// a three-field checkpoint whose fields straddle chunk boundaries, its
+// fields all F32 or all F64, captured by CaptureEngine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "baseline/direct.hpp"
+#include "ckpt/capture.hpp"
 #include "common/fs.hpp"
 #include "compare/comparator.hpp"
 #include "compare/fields.hpp"
@@ -68,26 +70,35 @@ std::vector<float> diverge(std::vector<float> values, Mode mode,
   return values;
 }
 
+/// One run's checkpoint, its fields stored as `kind` (kF32 or kF64).
 ckpt::CheckpointWriter make_writer(const std::string& run,
-                                   const std::vector<std::vector<float>>& f) {
+                                   const std::vector<std::vector<float>>& f,
+                                   merkle::ValueKind kind) {
   ckpt::CheckpointWriter writer("test", run, kIteration, 0);
-  EXPECT_TRUE(writer.add_field_f32("X", f[0]).is_ok());
-  EXPECT_TRUE(writer.add_field_f32("VX", f[1]).is_ok());
-  EXPECT_TRUE(writer.add_field_f32("PHI", f[2]).is_ok());
+  const auto add = [&](const char* name, const std::vector<float>& values) {
+    if (kind == merkle::ValueKind::kF64) {
+      const std::vector<double> wide(values.begin(), values.end());
+      EXPECT_TRUE(writer.add_field_f64(name, wide).is_ok());
+    } else {
+      EXPECT_TRUE(writer.add_field_f32(name, values).is_ok());
+    }
+  };
+  add("X", f[0]);
+  add("VX", f[1]);
+  add("PHI", f[2]);
   return writer;
 }
 
-/// Writes one run's checkpoint + capture-time sidecar into the catalog.
+/// Captures one run's checkpoint + sidecar into the catalog, as an
+/// application would.
 void store(const ckpt::HistoryCatalog& catalog,
-           const ckpt::CheckpointWriter& writer, const std::string& run) {
-  const auto ref = catalog.make_ref(run, kIteration, 0);
-  ASSERT_TRUE(ref.is_ok());
-  ASSERT_TRUE(writer.write(ref.value().checkpoint_path).is_ok());
-  const auto tree = merkle::TreeBuilder(tree_params(), par::Exec::serial())
-                        .build(writer.data_section());
-  ASSERT_TRUE(tree.is_ok());
-  ASSERT_TRUE(
-      merkle::save_flat(tree.value(), ref.value().metadata_path).is_ok());
+           const std::filesystem::path& local,
+           const ckpt::CheckpointWriter& writer) {
+  ckpt::CaptureOptions options;
+  options.tree = tree_params();
+  ckpt::CaptureEngine engine(local, catalog, options);
+  ASSERT_TRUE(engine.capture(writer).is_ok());
+  ASSERT_TRUE(engine.wait_all().is_ok());
 }
 
 CompareOptions compare_options() {
@@ -100,7 +111,8 @@ CompareOptions compare_options() {
 }
 
 class CompareEngineTest
-    : public ::testing::TestWithParam<std::tuple<Mode, std::uint64_t>> {
+    : public ::testing::TestWithParam<
+          std::tuple<Mode, std::uint64_t, merkle::ValueKind>> {
  protected:
   CompareEngineTest() : dir_{"compare-engine"}, catalog_{dir_.path()} {}
 
@@ -142,7 +154,7 @@ class CompareEngineTest
 };
 
 TEST_P(CompareEngineTest, EveryEntryPointAgreesWithDirect) {
-  const auto [mode, seed] = GetParam();
+  const auto [mode, seed, kind] = GetParam();
   std::vector<std::vector<float>> fields_a;
   for (std::uint64_t f = 0; f < 3; ++f) {
     fields_a.push_back(sim::generate_field(kValuesPerField, seed * 10 + f));
@@ -150,10 +162,10 @@ TEST_P(CompareEngineTest, EveryEntryPointAgreesWithDirect) {
   std::vector<std::vector<float>> fields_b = fields_a;
   fields_b[0] = diverge(fields_a[0], mode, seed);
   fields_b[1] = diverge(fields_a[1], mode, seed + 100);
-  const ckpt::CheckpointWriter writer_a = make_writer("a", fields_a);
-  const ckpt::CheckpointWriter writer_b = make_writer("b", fields_b);
-  store(catalog_, writer_a, "a");
-  store(catalog_, writer_b, "b");
+  const ckpt::CheckpointWriter writer_a = make_writer("a", fields_a, kind);
+  const ckpt::CheckpointWriter writer_b = make_writer("b", fields_b, kind);
+  store(catalog_, dir_.file("local"), writer_a);
+  store(catalog_, dir_.file("local"), writer_b);
   const ckpt::CheckpointPair pair{catalog_.ref("a", kIteration, 0),
                                   catalog_.ref("b", kIteration, 0)};
 
@@ -220,14 +232,21 @@ TEST_P(CompareEngineTest, EveryEntryPointAgreesWithDirect) {
   EXPECT_EQ(rows->array[0].u64_or("chunks_flagged", 999999), flagged);
 }
 
+// F32 cases keep their unsuffixed names; F64 cases end in "_f64".
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSeeds, CompareEngineTest,
     ::testing::Combine(::testing::Values(Mode::kIdentical, Mode::kSparse,
                                          Mode::kClustered),
-                       ::testing::Values(1U, 2U, 3U)),
+                       ::testing::Values(1U, 2U, 3U),
+                       ::testing::Values(merkle::ValueKind::kF32,
+                                         merkle::ValueKind::kF64)),
     [](const ::testing::TestParamInfo<CompareEngineTest::ParamType>& info) {
+      const merkle::ValueKind kind = std::get<2>(info.param);
       return std::string(mode_name(std::get<0>(info.param))) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(info.param)) +
+             (kind == merkle::ValueKind::kF32
+                  ? ""
+                  : "_" + std::string{merkle::value_kind_name(kind)});
     });
 
 }  // namespace

@@ -311,6 +311,85 @@ TEST_F(MonitorTest, CleanRunEmitsNoAlert) {
   stop_server();
 }
 
+TEST_F(MonitorTest, F64SessionAnswersLikeAnF32Session) {
+  // F64 reference and live runs whose trees read values as f64: a session
+  // that names the kind is clean until the live run moves one value 100x
+  // the bound, then divergent, exactly as an f32 session is.
+  constexpr std::uint64_t kDivergeAt = 20;
+  merkle::TreeParams params = tree_params(1e-5);
+  params.value_kind = merkle::ValueKind::kF64;
+  ckpt::HistoryCatalog catalog{dir_.path()};
+  std::vector<merkle::MerkleTree> live;
+  std::uint64_t data_bytes = 0;
+  for (const std::uint64_t iteration : {10U, 20U}) {
+    const auto x = sim::generate_field(3000, iteration);
+    std::vector<double> values(x.begin(), x.end());
+    const auto ref = catalog.make_ref("ref", iteration, 0);
+    ASSERT_TRUE(ref.is_ok());
+    ckpt::CheckpointWriter reference("test", "ref", iteration, 0);
+    ASSERT_TRUE(reference.add_field_f64("X", values).is_ok());
+    ASSERT_TRUE(reference.write(ref.value().checkpoint_path).is_ok());
+    const auto ref_tree = merkle::TreeBuilder(params, par::Exec::serial())
+                              .build(reference.data_section());
+    ASSERT_TRUE(ref_tree.is_ok());
+    ASSERT_TRUE(merkle::save_flat(ref_tree.value(), ref.value().metadata_path)
+                    .is_ok());
+
+    if (iteration >= kDivergeAt) values[100] += 1e-3;
+    ckpt::CheckpointWriter writer("test", "live", iteration, 0);
+    ASSERT_TRUE(writer.add_field_f64("X", values).is_ok());
+    data_bytes = writer.data_section().size();
+    auto tree = merkle::TreeBuilder(params, par::Exec::serial())
+                    .build(writer.data_section());
+    ASSERT_TRUE(tree.is_ok());
+    live.push_back(std::move(tree).value());
+  }
+
+  start_server(base_options());
+  auto client = connect_client();
+  ASSERT_TRUE(client.is_ok());
+  std::string request = open_request(data_bytes);
+  request.insert(request.size() - 1, ",\"value_kind\":\"f64\"");
+  auto opened = client.value().watch_open(request);
+  ASSERT_TRUE(opened.is_ok());
+  ASSERT_TRUE(opened.value().ok()) << opened.value().payload;
+  EXPECT_EQ(parse_payload(opened.value().payload).string_or("value_kind", ""),
+            "f64");
+
+  auto first = client.value().watch_push(full_frame(live[0], 10));
+  ASSERT_TRUE(first.is_ok());
+  ASSERT_TRUE(first.value().ok()) << first.value().payload;
+  EXPECT_EQ(parse_payload(first.value().payload).string_or("verdict", ""),
+            "clean");
+  auto second =
+      client.value().watch_push(delta_frame(live[0], live[1], 10, 20));
+  ASSERT_TRUE(second.is_ok());
+  ASSERT_TRUE(second.value().ok()) << second.value().payload;
+  EXPECT_EQ(parse_payload(second.value().payload).string_or("verdict", ""),
+            "divergent");
+
+  auto summary = client.value().watch_close();
+  ASSERT_TRUE(summary.is_ok());
+  EXPECT_EQ(parse_payload(summary.value().payload).u64_or("alert_iteration", 0),
+            kDivergeAt);
+
+  stop_server();
+}
+
+TEST_F(MonitorTest, UnknownValueKindIsABadRequest) {
+  start_server(base_options());
+  auto client = connect_client();
+  ASSERT_TRUE(client.is_ok());
+  std::string request = open_request(4096);
+  request.insert(request.size() - 1, ",\"value_kind\":\"f16\"");
+  auto opened = client.value().watch_open(request);
+  ASSERT_TRUE(opened.is_ok());
+  EXPECT_EQ(opened.value().status, WireStatus::kBadRequest);
+  EXPECT_NE(opened.value().payload.find("value_kind"), std::string::npos)
+      << opened.value().payload;
+  stop_server();
+}
+
 TEST_F(MonitorTest, ReferenceGapsCountTowardDetectionLatency) {
   const auto params = tree_params(1e-5);
   ckpt::HistoryCatalog catalog{dir_.path()};
