@@ -9,7 +9,7 @@
 #include "common/fs.hpp"
 #include "common/log.hpp"
 #include "merkle/compare.hpp"
-#include "merkle/flat.hpp"
+#include "merkle/nodestore.hpp"
 
 namespace repro::ckpt {
 
@@ -135,14 +135,6 @@ repro::Result<DeltaHeader> peek_delta_header(
   return decode_delta_header(reader);
 }
 
-/// What flat_serialize(tree) would produce, without producing it — the
-/// full-per-iteration baseline for the metadata dedup accounting.
-std::uint64_t full_sidecar_bytes(const merkle::MerkleTree& tree) {
-  merkle::FlatBuilder builder;
-  (void)builder.add("", tree);
-  return builder.output_bytes();
-}
-
 }  // namespace
 
 std::filesystem::path DeltaStore::data_path(std::uint64_t iteration,
@@ -183,8 +175,7 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
                   appends_since_anchor_ >= options_.anchor_interval);
 
   std::vector<std::uint64_t> changed;
-  merkle::TreeDelta tree_delta;
-  bool have_tree_delta = false;
+  merkle::TreeDelta tree_delta;  // vs the previous iteration; none at base
   merkle::TreeBuilder builder(options_.tree, options_.exec);
   if (is_base) {
     REPRO_ASSIGN_OR_RETURN(merkle::MerkleTree new_tree, builder.build(data));
@@ -213,30 +204,14 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
                 data.begin() + static_cast<std::ptrdiff_t>(end),
                 effective_.begin() + static_cast<std::ptrdiff_t>(begin));
     }
-    // Only the stored chunks' paths changed: snapshot their old digests,
-    // update incrementally (no O(n) rebuild), and the post-update digests
-    // that actually differ form the RMFD delta for this iteration.
-    const std::vector<std::uint64_t> dirty =
-        merkle::dirty_node_indices(effective_tree_.layout(), changed);
-    std::vector<hash::Digest128> old_digests;
-    old_digests.reserve(dirty.size());
-    for (const std::uint64_t index : dirty) {
-      old_digests.push_back(effective_tree_.node(index));
-    }
+    // Only the stored chunks' paths change (no O(n) rebuild); the nodes
+    // that moved form this iteration's RMFD delta.
+    const merkle::MerkleTree before = effective_tree_;
     REPRO_RETURN_IF_ERROR(
         builder.update_leaves(effective_tree_, effective_, changed));
-    tree_delta.iteration = iteration;
-    tree_delta.base_iteration = iterations_.back();
-    tree_delta.params = effective_tree_.params();
-    tree_delta.data_bytes = effective_tree_.data_bytes();
-    tree_delta.num_leaves = effective_tree_.layout().num_leaves;
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      if (!(old_digests[i] == effective_tree_.node(dirty[i]))) {
-        tree_delta.nodes.push_back(
-            {dirty[i], effective_tree_.node(dirty[i])});
-      }
-    }
-    have_tree_delta = true;
+    REPRO_ASSIGN_OR_RETURN(
+        tree_delta, merkle::compute_tree_delta(before, effective_tree_,
+                                               iterations_.back(), iteration));
   }
 
   DeltaHeader header{iteration, data.size(), options_.tree.chunk_bytes,
@@ -262,12 +237,12 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
 
   // Sidecar: full RMF2 tree at anchors (carrying the RMFD delta too, so
   // incremental consumers keep the per-step diff), differential RMFD-only
-  // otherwise; readers resolve the latter with resolve_delta_chain.
+  // otherwise; tree() replays the latter onto the nearest anchor.
   std::uint64_t sidecar_bytes = 0;
   if (is_anchor) {
     merkle::FlatBuilder sidecar;
     REPRO_RETURN_IF_ERROR(sidecar.add("", effective_tree_));
-    if (have_tree_delta) sidecar.set_delta(tree_delta);
+    if (!is_base) sidecar.set_delta(tree_delta);
     const std::vector<std::uint8_t> bytes = sidecar.finish();
     sidecar_bytes = bytes.size();
     REPRO_RETURN_IF_ERROR(
@@ -282,21 +257,12 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
             .with_context("saving differential merkle sidecar"));
   }
 
-  // Content-addressed accounting: anchors reference every node, deltas only
-  // the digests they introduce — refcount hits are exactly the dedup.
-  if (is_anchor || !have_tree_delta) {
-    node_store_.insert_all(effective_tree_.nodes());
-  } else {
-    for (const merkle::DeltaNode& node : tree_delta.nodes) {
-      node_store_.insert(node.digest);
-    }
-  }
-
   stats_.captures += 1;
   stats_.raw_bytes += data.size();
   stats_.stored_bytes += file.size();
   stats_.metadata_bytes += sidecar_bytes;
-  stats_.metadata_full_bytes += full_sidecar_bytes(effective_tree_);
+  // What a full flat sidecar per iteration would have cost.
+  stats_.metadata_full_bytes += effective_tree_.metadata_bytes();
   stats_.chunks_total += effective_tree_.num_chunks();
   stats_.chunks_stored += header.chunk_count;
 
@@ -310,10 +276,11 @@ repro::Status DeltaStore::append(std::uint64_t iteration,
   return repro::Status::ok();
 }
 
-repro::Result<std::vector<std::uint8_t>> DeltaStore::reconstruct(
+repro::Result<std::pair<std::size_t, std::size_t>> DeltaStore::replay_range(
     std::uint64_t iteration) const {
-  const auto end = std::find(iterations_.begin(), iterations_.end(), iteration);
-  if (end == iterations_.end()) {
+  const auto end =
+      std::lower_bound(iterations_.begin(), iterations_.end(), iteration);
+  if (end == iterations_.end() || *end != iteration) {
     return repro::not_found("iteration " + std::to_string(iteration) +
                             " not in delta store");
   }
@@ -323,15 +290,22 @@ repro::Result<std::vector<std::uint8_t>> DeltaStore::reconstruct(
   const auto anchor = std::upper_bound(anchors_.begin(), anchors_.end(),
                                        iteration);
   if (anchor != anchors_.begin()) {
-    start = std::find(iterations_.begin(), iterations_.end(),
-                      *std::prev(anchor));
+    start = std::lower_bound(iterations_.begin(), end, *std::prev(anchor));
   }
+  return std::pair<std::size_t, std::size_t>(start - iterations_.begin(),
+                                             end - iterations_.begin());
+}
+
+repro::Result<std::vector<std::uint8_t>> DeltaStore::reconstruct(
+    std::uint64_t iteration) const {
+  REPRO_ASSIGN_OR_RETURN(const auto range, replay_range(iteration));
   std::vector<std::uint8_t> data;
-  for (auto it = start; it <= end; ++it) {
+  for (std::size_t i = range.first; i <= range.second; ++i) {
+    const std::uint64_t listed = iterations_[i];
     const bool is_full =
-        std::binary_search(anchors_.begin(), anchors_.end(), *it);
+        std::binary_search(anchors_.begin(), anchors_.end(), listed);
     REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> file,
-                           repro::read_file(data_path(*it, is_full)));
+                           repro::read_file(data_path(listed, is_full)));
     REPRO_RETURN_IF_ERROR(apply_delta(file, data, nullptr));
   }
   return data;
@@ -339,7 +313,34 @@ repro::Result<std::vector<std::uint8_t>> DeltaStore::reconstruct(
 
 repro::Result<merkle::MerkleTree> DeltaStore::tree(
     std::uint64_t iteration) const {
-  return merkle::resolve_delta_chain(tree_path(iteration));
+  REPRO_ASSIGN_OR_RETURN(const auto range, replay_range(iteration));
+  REPRO_ASSIGN_OR_RETURN(
+      const merkle::MappedBundle anchor,
+      merkle::MappedBundle::open(tree_path(iterations_[range.first])));
+  REPRO_ASSIGN_OR_RETURN(const merkle::TreeView anchor_tree,
+                         anchor.sole_tree());
+  REPRO_ASSIGN_OR_RETURN(merkle::MerkleTree tree, anchor_tree.materialize());
+  for (std::size_t i = range.first + 1; i <= range.second; ++i) {
+    REPRO_RETURN_IF_ERROR(step_tree(i, tree).status());
+  }
+  return tree;
+}
+
+repro::Result<merkle::TreeDelta> DeltaStore::step_tree(
+    std::size_t index, merkle::MerkleTree& tree) const {
+  const std::uint64_t iteration = iterations_[index];
+  REPRO_ASSIGN_OR_RETURN(merkle::TreeDelta delta, tree_delta(iteration));
+  if (delta.iteration != iteration ||
+      delta.base_iteration != iterations_[index - 1]) {
+    return repro::corrupt_data(
+        "differential sidecar " + tree_path(iteration).string() +
+        " is the delta of iteration " + std::to_string(delta.iteration) +
+        " from " + std::to_string(delta.base_iteration) + ", not of " +
+        std::to_string(iteration) + " from " +
+        std::to_string(iterations_[index - 1]));
+  }
+  REPRO_ASSIGN_OR_RETURN(tree, merkle::apply_tree_delta(tree, delta));
+  return delta;
 }
 
 repro::Result<merkle::TreeDelta> DeltaStore::tree_delta(
@@ -352,21 +353,6 @@ repro::Result<merkle::TreeDelta> DeltaStore::tree_delta(
                             " carries no differential section");
   }
   return bundle.view().delta();
-}
-
-repro::Result<std::vector<std::uint64_t>> DeltaStore::changed_chunks(
-    std::uint64_t iteration) const {
-  if (!iterations_.empty() && iteration == iterations_.front()) {
-    // The base capture changes every chunk by definition.
-    std::vector<std::uint64_t> all(effective_tree_.num_chunks());
-    for (std::uint64_t chunk = 0; chunk < all.size(); ++chunk) {
-      all[chunk] = chunk;
-    }
-    return all;
-  }
-  REPRO_ASSIGN_OR_RETURN(const merkle::TreeDelta delta,
-                         tree_delta(iteration));
-  return delta.changed_chunks();
 }
 
 repro::Result<DeltaStore> DeltaStore::load(std::filesystem::path root,
@@ -544,22 +530,23 @@ repro::Result<std::vector<TimelineEntry>> incremental_timeline(
   timeline.push_back({common.front(), diverged.size()});
 
   // Advance both stores to each next common iteration, folding every
-  // intermediate per-iteration RMFD into the rolling tree and the touched
-  // chunk set.
+  // intermediate per-iteration RMFD into the rolling tree (the step tree()
+  // replays) and the touched chunk set.
   const auto advance =
       [&shape](const DeltaStore& store, merkle::MerkleTree& tree,
                std::uint64_t from, std::uint64_t to,
                std::unordered_set<std::uint64_t>& touched) -> repro::Status {
     const auto& iters = store.iterations();
-    auto it = std::upper_bound(iters.begin(), iters.end(), from);
-    for (; it != iters.end() && *it <= to; ++it) {
+    for (auto i = static_cast<std::size_t>(
+             std::upper_bound(iters.begin(), iters.end(), from) -
+             iters.begin());
+         i < iters.size() && iters[i] <= to; ++i) {
       REPRO_ASSIGN_OR_RETURN(const merkle::TreeDelta delta,
-                             store.tree_delta(*it));
+                             store.step_tree(i, tree));
       shape.node_visits += delta.nodes.size();
       for (const std::uint64_t chunk : delta.changed_chunks()) {
         touched.insert(chunk);
       }
-      REPRO_ASSIGN_OR_RETURN(tree, merkle::apply_tree_delta(tree, delta));
     }
     return repro::Status::ok();
   };

@@ -17,12 +17,14 @@
 //
 // Metadata is deduplicated the same way (ROADMAP item 2): between anchors,
 // the per-iteration sidecar is *differential* — an RMFD section carrying
-// only the tree nodes whose digests changed (merkle/nodestore.hpp) — so
-// metadata bytes grow with divergence, not with iterations. Every
+// only the tree nodes whose digests changed (merkle::compute_tree_delta) —
+// so metadata bytes grow with divergence, not with iterations. Every
 // `anchor_interval`-th capture writes a full snapshot of both data and tree
 // (the tree sidecar also carries its RMFD vs the previous iteration, so
-// incremental consumers never lose the per-step diff), bounding
-// reconstruct()/tree() replay to at most `anchor_interval` deltas.
+// incremental consumers never lose the per-step diff). The store is the one
+// reader of its chains: reconstruct() and tree() both replay the listed
+// iterations from the nearest anchor — at most `anchor_interval` deltas —
+// and each delta must name the previous listed iteration as its base.
 //
 // Layout under the store root:
 //   <run>/rank<i>/base.iter<j>.rdlt        full snapshot (first capture and
@@ -38,10 +40,11 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
-#include "merkle/nodestore.hpp"
+#include "merkle/flat.hpp"
 #include "merkle/tree.hpp"
 #include "par/exec.hpp"
 
@@ -106,9 +109,10 @@ class DeltaStore {
 
   /// Load the tree stored for an iteration: the tree of the *effective*
   /// state reconstruct() returns (per-chunk within one error bound of the
-  /// captured data). Differential sidecars are resolved against their
-  /// anchor transparently. Usable directly with merkle::compare_trees —
-  /// cross-run comparison needs no reconstruction.
+  /// captured data). Replays the listed iterations' RMFD deltas onto the
+  /// nearest anchor's tree, as reconstruct() replays data. Usable directly
+  /// with merkle::compare_trees — cross-run comparison needs no
+  /// reconstruction.
   [[nodiscard]] repro::Result<merkle::MerkleTree> tree(
       std::uint64_t iteration) const;
 
@@ -117,10 +121,12 @@ class DeltaStore {
   [[nodiscard]] repro::Result<merkle::TreeDelta> tree_delta(
       std::uint64_t iteration) const;
 
-  /// Chunks whose digests changed at `iteration` relative to the previous
-  /// appended iteration (every chunk for the base capture).
-  [[nodiscard]] repro::Result<std::vector<std::uint64_t>> changed_chunks(
-      std::uint64_t iteration) const;
+  /// One replay step: applies the delta of `iterations()[index]` (index >
+  /// 0) onto `tree`, the tree of the listed iteration before it, and
+  /// returns that delta. CORRUPT_DATA naming the sidecar when the delta is
+  /// for another iteration or names another base.
+  repro::Result<merkle::TreeDelta> step_tree(std::size_t index,
+                                             merkle::MerkleTree& tree) const;
 
   /// Iterations appended so far, ascending.
   [[nodiscard]] const std::vector<std::uint64_t>& iterations() const noexcept {
@@ -135,13 +141,6 @@ class DeltaStore {
 
   [[nodiscard]] const DeltaStoreStats& stats() const noexcept {
     return stats_;
-  }
-
-  /// Content-addressed refcounts over every node digest referenced by the
-  /// appended sidecars — the exact dedup accounting behind
-  /// stats().metadata_bytes.
-  [[nodiscard]] const merkle::NodeStore& node_store() const noexcept {
-    return node_store_;
   }
 
   /// Re-open an existing stream from disk (scans the directory). Orphaned
@@ -163,6 +162,11 @@ class DeltaStore {
                                                 bool base) const;
   [[nodiscard]] std::filesystem::path tree_path(
       std::uint64_t iteration) const;
+  /// Positions in iterations_ of the nearest anchor at or before
+  /// `iteration` and of `iteration` itself: the replay range of
+  /// reconstruct() and tree(). NOT_FOUND when the store does not list it.
+  [[nodiscard]] repro::Result<std::pair<std::size_t, std::size_t>>
+  replay_range(std::uint64_t iteration) const;
 
   std::filesystem::path dir_;
   DeltaStoreOptions options_;
@@ -174,7 +178,6 @@ class DeltaStore {
   /// reader will actually see.
   std::vector<std::uint8_t> effective_;
   merkle::MerkleTree effective_tree_;
-  merkle::NodeStore node_store_;
   DeltaStoreStats stats_;
 };
 

@@ -14,6 +14,40 @@ namespace repro::ckpt {
 namespace {
 constexpr std::uint32_t kMagic = 0x504B4352;  // "RCKP"
 constexpr std::uint32_t kVersion = 1;
+
+/// The reader's one read loop: `length` bytes at `offset` of `path`, by
+/// positional reads. A file that ends inside the range is CORRUPT_DATA
+/// naming `what` (the header, the data section or a field).
+repro::Result<std::vector<std::uint8_t>> read_range(
+    const std::filesystem::path& path, std::uint64_t offset,
+    std::uint64_t length, const std::string& what) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return repro::io_error_errno("open checkpoint: " + path.string(), errno);
+  }
+  std::vector<std::uint8_t> bytes(length);
+  std::size_t got = 0;
+  repro::Status status;
+  while (got < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + got, bytes.size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      status = repro::io_error_errno("read " + what + ": " + path.string(),
+                                     errno);
+      break;
+    }
+    if (n == 0) {
+      status = repro::corrupt_data("checkpoint ends inside its " + what +
+                                   ": " + path.string());
+      break;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  if (!status.is_ok()) return status;
+  return bytes;
+}
 }  // namespace
 
 const FieldInfo* CheckpointInfo::field_at(std::uint64_t offset) const noexcept {
@@ -162,31 +196,8 @@ repro::Status CheckpointWriter::write(
 
 repro::Result<CheckpointReader> CheckpointReader::open(
     const std::filesystem::path& path) {
-  // Read just the fixed header region.
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return repro::io_error_errno("open checkpoint: " + path.string(), errno);
-  }
-  std::vector<std::uint8_t> header(kHeaderBytes);
-  std::size_t got = 0;
-  repro::Status status;
-  while (got < header.size()) {
-    const ssize_t n = ::read(fd, header.data() + got, header.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      status = repro::io_error_errno("read header: " + path.string(), errno);
-      break;
-    }
-    if (n == 0) {
-      status = repro::corrupt_data("checkpoint shorter than header: " +
-                                   path.string());
-      break;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  if (!status.is_ok()) return status;
-
+  REPRO_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> header,
+                         read_range(path, 0, kHeaderBytes, "header"));
   CheckpointReader reader;
   reader.path_ = path;
   REPRO_ASSIGN_OR_RETURN(reader.info_, decode_header(header));
@@ -199,52 +210,19 @@ repro::Result<CheckpointReader> CheckpointReader::open(
 }
 
 repro::Result<std::vector<std::uint8_t>> CheckpointReader::read_data() const {
-  REPRO_ASSIGN_OR_RETURN(std::vector<std::uint8_t> all,
-                         repro::read_file(path_));
-  if (all.size() < kHeaderBytes) {
-    return repro::corrupt_data("checkpoint truncated: " + path_.string());
-  }
-  return std::vector<std::uint8_t>(all.begin() + kHeaderBytes, all.end());
+  return read_range(path_, kHeaderBytes, info_.data_bytes(), "data section");
 }
 
 repro::Result<std::vector<std::uint8_t>> CheckpointReader::read_field(
     std::string_view name) const {
-  const FieldInfo* found = nullptr;
   for (const auto& field : info_.fields) {
     if (field.name == name) {
-      found = &field;
-      break;
+      return read_range(path_, kHeaderBytes + field.data_offset,
+                        field.byte_size(), "field " + field.name);
     }
   }
-  if (found == nullptr) {
-    return repro::not_found("no field '" + std::string{name} + "' in " +
-                            path_.string());
-  }
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return repro::io_error_errno("open checkpoint: " + path_.string(), errno);
-  }
-  std::vector<std::uint8_t> data(found->byte_size());
-  std::size_t got = 0;
-  repro::Status status;
-  while (got < data.size()) {
-    const ssize_t n = ::pread(
-        fd, data.data() + got, data.size() - got,
-        static_cast<off_t>(kHeaderBytes + found->data_offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      status = repro::io_error_errno("read field: " + path_.string(), errno);
-      break;
-    }
-    if (n == 0) {
-      status = repro::corrupt_data("EOF reading field from " + path_.string());
-      break;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  if (!status.is_ok()) return status;
-  return data;
+  return repro::not_found("no field '" + std::string{name} + "' in " +
+                          path_.string());
 }
 
 }  // namespace repro::ckpt

@@ -110,8 +110,9 @@ class CheckpointReader {
     return info_.data_bytes();
   }
 
-  /// Read the whole data section (used by capture-time tree building and by
-  /// the AllClose baseline, which has no streaming).
+  /// Read the whole data section, and only it, into one buffer (used by
+  /// whole-checkpoint tree building and by the AllClose baseline, which has
+  /// no streaming).
   [[nodiscard]] repro::Result<std::vector<std::uint8_t>> read_data() const;
 
   /// Read one field's payload.

@@ -6,6 +6,27 @@
 
 namespace repro::cli {
 
+std::optional<std::uint64_t> parse_u64(std::string_view token) {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (ec != std::errc{} || ptr != token.data() + token.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parse_f64(std::string_view token) {
+  try {
+    std::size_t consumed = 0;
+    const double value = std::stod(std::string(token), &consumed);
+    if (consumed != token.size()) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 repro::Result<Args> Args::parse(int argc, const char* const* argv) {
   Args args;
   for (int i = 0; i < argc; ++i) {
@@ -42,31 +63,24 @@ repro::Result<std::uint64_t> Args::get_u64(const std::string& flag,
                                            std::uint64_t fallback) const {
   const auto it = flags_.find(flag);
   if (it == flags_.end()) return fallback;
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(
-      it->second.data(), it->second.data() + it->second.size(), value);
-  if (ec != std::errc{} || ptr != it->second.data() + it->second.size()) {
+  const std::optional<std::uint64_t> value = parse_u64(it->second);
+  if (!value) {
     return repro::invalid_argument("--" + flag + " expects an integer, got '" +
                                    it->second + "'");
   }
-  return value;
+  return *value;
 }
 
 repro::Result<double> Args::get_f64(const std::string& flag,
                                     double fallback) const {
   const auto it = flags_.find(flag);
   if (it == flags_.end()) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) {
-      return repro::invalid_argument("--" + flag + " expects a number");
-    }
-    return value;
-  } catch (const std::exception&) {
+  const std::optional<double> value = parse_f64(it->second);
+  if (!value) {
     return repro::invalid_argument("--" + flag + " expects a number, got '" +
                                    it->second + "'");
   }
+  return *value;
 }
 
 repro::Result<std::uint64_t> Args::get_size(const std::string& flag,

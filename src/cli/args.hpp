@@ -4,12 +4,20 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
 
 namespace repro::cli {
+
+/// Whole-token number parsing, for flag values and positional arguments
+/// alike: nullopt unless the entire token is one number ("2x", "-1" and ""
+/// are not unsigned integers).
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view token);
+[[nodiscard]] std::optional<double> parse_f64(std::string_view token);
 
 class Args {
  public:

@@ -16,7 +16,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -755,11 +757,10 @@ repro::Result<std::map<std::string, double, std::less<>>> parse_bounds(
           "--bounds expects FIELD=EPS[,FIELD=EPS...]");
     }
     const std::string name = text.substr(pos, equals - pos);
-    try {
-      bounds[name] = std::stod(text.substr(equals + 1, comma - equals - 1));
-    } catch (const std::exception&) {
-      return repro::invalid_argument("bad bound for field " + name);
-    }
+    const std::optional<double> bound = parse_f64(
+        std::string_view(text).substr(equals + 1, comma - equals - 1));
+    if (!bound) return repro::invalid_argument("bad bound for field " + name);
+    bounds[name] = *bound;
     pos = comma + 1;
   }
   return bounds;
@@ -902,33 +903,34 @@ int cmd_delta(const Args& args) {
   }
   const std::string& action = args.positional()[1];
   const std::filesystem::path root = args.positional()[2];
+  const bool is_timeline = action == "timeline";
+  if (is_timeline && args.positional().size() < 6) {
+    std::fprintf(stderr, "delta timeline requires ROOT RUN_A RUN_B RANK\n");
+    return 2;
+  }
+  // RANK follows the run (or both runs): a whole token that fits 32 bits.
+  const std::optional<std::uint64_t> parsed_rank =
+      parse_u64(args.positional()[is_timeline ? 5 : 4]);
+  if (!parsed_rank ||
+      *parsed_rank > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr, "RANK must be an unsigned 32-bit integer\n");
+    return 2;
+  }
+  const auto rank = static_cast<std::uint32_t>(*parsed_rank);
   auto params = tree_params_from(args);
   if (!params.is_ok()) return fail(params.status());
   ckpt::DeltaStoreOptions options;
   options.tree = params.value();
 
-  if (action == "timeline") {
+  if (is_timeline) {
     // delta timeline ROOT RUN_A RUN_B RANK: incremental divergence walk —
     // one full compare at the first common iteration, then only the chunks
     // the RMFD sidecars say moved (O(divergence), not O(iterations*tree)).
-    if (args.positional().size() < 6) {
-      std::fprintf(stderr, "delta timeline requires ROOT RUN_A RUN_B RANK\n");
-      return 2;
-    }
-    std::uint64_t timeline_rank = 0;
-    try {
-      timeline_rank = std::stoull(args.positional()[5]);
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "RANK must be an integer\n");
-      return 2;
-    }
-    auto store_a = ckpt::DeltaStore::load(
-        root, args.positional()[3],
-        static_cast<std::uint32_t>(timeline_rank), options);
+    auto store_a =
+        ckpt::DeltaStore::load(root, args.positional()[3], rank, options);
     if (!store_a.is_ok()) return fail(store_a.status());
-    auto store_b = ckpt::DeltaStore::load(
-        root, args.positional()[4],
-        static_cast<std::uint32_t>(timeline_rank), options);
+    auto store_b =
+        ckpt::DeltaStore::load(root, args.positional()[4], rank, options);
     if (!store_b.is_ok()) return fail(store_b.status());
     ckpt::TimelineStats timeline_stats;
     auto timeline = ckpt::incremental_timeline(store_a.value(),
@@ -969,17 +971,8 @@ int cmd_delta(const Args& args) {
   }
 
   const std::string run = args.positional()[3];
-  std::uint64_t rank = 0;
-  try {
-    rank = std::stoull(args.positional()[4]);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "RANK must be an integer\n");
-    return 2;
-  }
-
   const auto load_store = [&] {
-    return ckpt::DeltaStore::load(root, run, static_cast<std::uint32_t>(rank),
-                                  options);
+    return ckpt::DeltaStore::load(root, run, rank, options);
   };
 
   if (action == "stats") {
@@ -1020,13 +1013,13 @@ int cmd_delta(const Args& args) {
                  action.c_str());
     return 2;
   }
-  std::uint64_t iteration = 0;
-  try {
-    iteration = std::stoull(args.positional()[5]);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "ITER must be an integer\n");
+  const std::optional<std::uint64_t> parsed_iteration =
+      parse_u64(args.positional()[5]);
+  if (!parsed_iteration) {
+    std::fprintf(stderr, "ITER must be an unsigned integer\n");
     return 2;
   }
+  const std::uint64_t iteration = *parsed_iteration;
   const std::filesystem::path file = args.positional()[6];
 
   if (action == "append") {

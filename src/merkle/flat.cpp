@@ -555,12 +555,6 @@ std::vector<std::uint8_t> flat_serialize_delta(const TreeDelta& delta) {
   return builder.finish();
 }
 
-repro::Status save_flat_delta(const TreeDelta& delta,
-                              const std::filesystem::path& path) {
-  return repro::write_file(path, flat_serialize_delta(delta))
-      .with_context("saving differential merkle sidecar");
-}
-
 // ---- MappedBundle ----------------------------------------------------------
 
 repro::Result<MappedBundle> MappedBundle::open(

@@ -143,7 +143,7 @@ class TreeView {
   }
 
   /// Copy out an owning MerkleTree, for callers that need mutable nodes
-  /// (DeltaStore, the node store, the WATCH monitor).
+  /// (DeltaStore replays its deltas onto an anchor's tree).
   [[nodiscard]] repro::Result<MerkleTree> materialize() const;
 
  private:
@@ -244,8 +244,6 @@ std::vector<std::uint8_t> flat_serialize(const MerkleTree& tree);
 std::vector<std::uint8_t> flat_serialize_delta(const TreeDelta& delta);
 repro::Status save_flat(const MerkleTree& tree,
                         const std::filesystem::path& path);
-repro::Status save_flat_delta(const TreeDelta& delta,
-                              const std::filesystem::path& path);
 
 /// Exact size of the single-tree sidecar flat_serialize() writes for a tree
 /// of `num_nodes` digests.

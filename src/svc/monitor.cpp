@@ -7,6 +7,7 @@
 #include "common/build_info.hpp"
 #include "common/json.hpp"
 #include "merkle/compare.hpp"
+#include "merkle/nodestore.hpp"
 #include "telemetry/json_parse.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -94,9 +95,9 @@ struct Monitor::Session {
   bool alerted = false;
   std::uint64_t alert_iteration = 0;
 
-  /// Content-addressed dedup accounting over every digest this session
-  /// pushed; the close summary reports how compressible the stream was.
-  merkle::NodeStore store;
+  /// Digest entries received over all pushes (the close summary's
+  /// node_inserts). The frontier is everything else a session holds.
+  std::uint64_t node_inserts = 0;
 
   [[nodiscard]] std::uint64_t frontier_bytes() const noexcept {
     return has_frontier ? frontier.nodes().size() * hash::kDigestBytes : 0;
@@ -211,6 +212,7 @@ WatchReply Monitor::push(std::uint64_t conn_id, const std::string& payload,
       options_.max_push_entries);
   if (!decoded.is_ok()) return bad_request(decoded.status().to_string());
   WatchPushFrame& frame = decoded.value();
+  const std::uint64_t entry_count = frame.entries.size();
 
   // Iterations must be strictly increasing: the frontier is a chain of
   // deltas, so a replayed or reordered iteration cannot be applied.
@@ -252,12 +254,9 @@ WatchReply Monitor::push(std::uint64_t conn_id, const std::string& payload,
     auto applied = merkle::apply_tree_delta(session.frontier, delta);
     if (!applied.is_ok()) return bad_request(applied.status().to_string());
     next = std::move(applied.value());
-    frame.entries = std::move(delta.nodes);  // for the dedup accounting below
   }
 
-  for (const merkle::DeltaNode& entry : frame.entries) {
-    session.store.insert(entry.digest);
-  }
+  session.node_inserts += entry_count;
   buffered_bytes_ -= session.frontier_bytes();
   session.frontier = std::move(next);
   session.has_frontier = true;
@@ -411,7 +410,6 @@ WatchReply Monitor::close(std::uint64_t conn_id) {
     return bad_request("no watch session open on this connection");
   }
   const Session& session = *it->second;
-  const merkle::NodeStore::Stats& store = session.store.stats();
   std::string out = "{";
   bool first = true;
   append_kv(out, "iterations_pushed", session.pushes, &first);
@@ -421,9 +419,7 @@ WatchReply Monitor::close(std::uint64_t conn_id) {
   if (session.alerted) {
     append_kv(out, "alert_iteration", session.alert_iteration, &first);
   }
-  append_kv(out, "unique_nodes", store.unique_nodes, &first);
-  append_kv(out, "node_inserts", store.inserts, &first);
-  append_kv(out, "dedup_ratio", store.dedup_ratio(), &first);
+  append_kv(out, "node_inserts", session.node_inserts, &first);
   out += '}';
   buffered_bytes_ -= session.frontier_bytes();
   sessions_.erase(it);

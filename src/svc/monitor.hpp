@@ -21,6 +21,10 @@
 // file — the detection-latency SLO (`svc.watch.detection_latency_us`)
 // measures push arrival to alert emission.
 //
+// A session holds its frontier tree and a few counters, nothing that grows
+// with the number of pushes: `svc.watch.buffered_bytes` (the frontiers) is
+// all the WATCH plane keeps resident.
+//
 // Sessions are keyed by connection id — one WATCH session per connection —
 // and every entry point runs on the server's event-loop thread, so the
 // session table needs no locking and per-connection push ordering is
@@ -40,7 +44,6 @@
 #include "common/timer.hpp"
 #include "compare/comparator.hpp"
 #include "merkle/flat.hpp"
-#include "merkle/nodestore.hpp"
 #include "merkle/tree.hpp"
 #include "svc/cache.hpp"
 #include "svc/log_file.hpp"

@@ -24,7 +24,6 @@
 #include "common/timer.hpp"
 #include "common/build_info.hpp"
 #include "common/fs.hpp"
-#include "merkle/nodestore.hpp"
 #include "par/thread_pool.hpp"
 #include "svc/log_file.hpp"
 #include "svc/monitor.hpp"

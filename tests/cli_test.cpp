@@ -395,6 +395,46 @@ TEST_F(CliTest, DeltaAppendReconstructRoundTrip) {
                 4096);
 }
 
+TEST_F(CliTest, DeltaRejectsMalformedRankAndIteration) {
+  // RANK and ITER are whole unsigned tokens, and a rank fits 32 bits: "-1"
+  // must not wrap to rank 4294967295, and "5x" is not iteration 5.
+  simulate("run-1");
+  const std::string store = pfs() + "/delta";
+  const std::string ckpt = pfs() + "/run-1/iter5/rank0.ckpt";
+  const std::string flags = " --chunk 4K --eps 1e-05";
+  for (const std::string& rank_and_iter :
+       {std::string("-1 5"), std::string("4294967296 5"),
+        std::string("0x 5"), std::string("0 5x"), std::string("0 -5")}) {
+    const CommandResult append = run_cli("delta append " + store + " run-1 " +
+                                         rank_and_iter + " " + ckpt + flags);
+    EXPECT_EQ(append.exit_code, 2) << rank_and_iter << ": " << append.output;
+  }
+  EXPECT_FALSE(std::filesystem::exists(store + "/run-1/rank4294967295"));
+  EXPECT_FALSE(std::filesystem::exists(store + "/run-1/rank0"));
+
+  ASSERT_EQ(run_cli("delta append " + store + " run-1 0 5 " + ckpt + flags)
+                .exit_code,
+            0);
+  const std::string out = pfs() + "/restored.bin";
+  const CommandResult reconstruct = run_cli(
+      "delta reconstruct " + store + " run-1 0 5junk " + out + flags);
+  EXPECT_EQ(reconstruct.exit_code, 2) << reconstruct.output;
+  EXPECT_FALSE(std::filesystem::exists(out));
+  const CommandResult timeline =
+      run_cli("delta timeline " + store + " run-1 run-1 0x" + flags);
+  EXPECT_EQ(timeline.exit_code, 2) << timeline.output;
+}
+
+TEST_F(CliTest, FieldsRejectsMalformedBound) {
+  simulate("run-1");
+  const std::string ckpt = pfs() + "/run-1/iter5/rank0.ckpt";
+  const CommandResult result = run_cli("fields " + ckpt + " " + ckpt +
+                                       " --bounds X=1e-6abc --chunk 4K");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("bad bound for field X"), std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, TelemetryOutputsProduceTraceAndMetrics) {
   // Divergent runs so the comparison descends into stage 2 and the io.*
   // counters see real batch traffic.

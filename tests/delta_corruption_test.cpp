@@ -14,6 +14,7 @@
 #include "common/bytes.hpp"
 #include "common/fs.hpp"
 #include "common/rng.hpp"
+#include "merkle/compare.hpp"
 #include "merkle/flat.hpp"
 #include "merkle/nodestore.hpp"
 #include "sim/workload.hpp"
@@ -197,14 +198,22 @@ TEST(DeltaCorruption, MismatchedHeaderIterationTruncatesOnLoad) {
 
 TEST(DeltaCorruption, EverySidecarTruncationFailsCleanly) {
   // iter1.rmrk is a differential (RMFD-only) sidecar; every truncated
-  // prefix must fail parse or chain resolution cleanly.
+  // prefix must fail to replay, so load trims the history back to the base
+  // and iteration 1 is no longer listed.
   const SmallStore store;
   const std::filesystem::path sidecar = store.rank_dir / "iter1.rmrk";
   const std::vector<std::uint8_t> bytes = read_raw(sidecar);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     write_raw(sidecar, std::span<const std::uint8_t>(bytes.data(), cut));
-    const auto resolved = merkle::resolve_delta_chain(sidecar);
-    EXPECT_FALSE(resolved.is_ok()) << "cut=" << cut;
+    const auto loaded =
+        DeltaStore::load(store.dir.path(), "run", 0, options_bytes());
+    ASSERT_TRUE(loaded.is_ok()) << "cut=" << cut << ": "
+                                << loaded.status().to_string();
+    EXPECT_EQ(loaded.value().iterations(), (std::vector<std::uint64_t>{0}))
+        << "cut=" << cut;
+    EXPECT_EQ(loaded.value().tree(1).status().code(),
+              repro::StatusCode::kNotFound)
+        << "cut=" << cut;
   }
 }
 
@@ -222,10 +231,76 @@ TEST(DeltaCorruption, FuzzedSidecarNeverCrashes) {
     }
     write_raw(sidecar, mutated);
     // Either outcome is fine; crashing or reading OOB (ASan) is not.
-    const auto resolved = merkle::resolve_delta_chain(sidecar);
-    if (resolved.is_ok()) {
-      (void)resolved.value().root();
-    }
+    store.expect_no_crash();
+  }
+}
+
+TEST(DeltaCorruption, MissingAnchorSidecarLoadsCleanly) {
+  // Without iter0.rmrk nothing anchors iteration 1's differential sidecar:
+  // load keeps no iteration whose chain needs the missing file, and asking
+  // for the tree is a clean error, not a crash or a hang.
+  const SmallStore store;
+  ASSERT_TRUE(std::filesystem::remove(store.rank_dir / "iter0.rmrk"));
+  const auto loaded =
+      DeltaStore::load(store.dir.path(), "run", 0, options_bytes());
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_TRUE(loaded.value().iterations().empty());
+  EXPECT_FALSE(loaded.value().tree(1).is_ok());
+}
+
+TEST(DeltaCorruption, SidecarNamingAnotherBaseTruncatesOnLoad) {
+  // Two stores get the same appends: iteration 1 changes chunk 3, and
+  // iteration 2 reverts it exactly and changes chunk 10. Store a's
+  // iter2.rmrk is then replaced by a valid delta of iteration 2 from 0,
+  // which skips its listed predecessor. Replayed onto iteration 1's tree it
+  // would keep chunk 3's change, so load must stop listing iteration 2, and
+  // the timeline must agree with full tree compares where both stores list
+  // an iteration.
+  TempDir dir{"delta-foreign-base"};
+  const std::vector<float> field = sim::generate_field(8000, 41);
+  const std::span<const std::uint8_t> field_bytes = as_bytes(field);
+  for (const char* run : {"a", "b"}) {
+    auto store = DeltaStore::open(dir.path(), run, 0, options_bytes());
+    ASSERT_TRUE(store.is_ok());
+    std::vector<std::uint8_t> bytes(field_bytes.begin(), field_bytes.end());
+    ASSERT_TRUE(store.value().append(0, bytes).is_ok());
+    bytes[3 * 1024] ^= 0xFF;
+    ASSERT_TRUE(store.value().append(1, bytes).is_ok());
+    bytes[3 * 1024] ^= 0xFF;
+    bytes[10 * 1024] ^= 0xFF;
+    ASSERT_TRUE(store.value().append(2, bytes).is_ok());
+  }
+  {
+    auto written = DeltaStore::load(dir.path(), "a", 0, options_bytes());
+    ASSERT_TRUE(written.is_ok());
+    const auto tree0 = written.value().tree(0);
+    const auto tree2 = written.value().tree(2);
+    ASSERT_TRUE(tree0.is_ok());
+    ASSERT_TRUE(tree2.is_ok());
+    const auto skip =
+        merkle::compute_tree_delta(tree0.value(), tree2.value(), 0, 2);
+    ASSERT_TRUE(skip.is_ok());
+    write_raw(dir.path() / "a" / "rank0" / "iter2.rmrk",
+              merkle::flat_serialize_delta(skip.value()));
+  }
+
+  const auto a = DeltaStore::load(dir.path(), "a", 0, options_bytes());
+  const auto b = DeltaStore::load(dir.path(), "b", 0, options_bytes());
+  ASSERT_TRUE(a.is_ok());
+  ASSERT_TRUE(b.is_ok());
+  EXPECT_EQ(a.value().iterations(), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(b.value().iterations(), (std::vector<std::uint64_t>{0, 1, 2}));
+  const auto timeline = incremental_timeline(a.value(), b.value());
+  ASSERT_TRUE(timeline.is_ok()) << timeline.status().to_string();
+  for (const TimelineEntry& entry : timeline.value()) {
+    const auto tree_a = a.value().tree(entry.iteration);
+    const auto tree_b = b.value().tree(entry.iteration);
+    ASSERT_TRUE(tree_a.is_ok()) << tree_a.status().to_string();
+    ASSERT_TRUE(tree_b.is_ok()) << tree_b.status().to_string();
+    const auto diff = merkle::compare_trees(tree_a.value(), tree_b.value());
+    ASSERT_TRUE(diff.is_ok());
+    EXPECT_EQ(entry.diverged_chunks, diff.value().size())
+        << "iteration " << entry.iteration;
   }
 }
 

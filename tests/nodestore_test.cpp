@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "common/fs.hpp"
 #include "common/rng.hpp"
 #include "merkle/flat.hpp"
 #include "merkle/tree.hpp"
@@ -34,34 +33,6 @@ MerkleTree build_tree(std::span<const std::uint8_t> data) {
   return std::move(tree).value();
 }
 
-TEST(NodeStore, RefcountsAndDedup) {
-  NodeStore store;
-  const hash::Digest128 a{1, 2};
-  const hash::Digest128 b{3, 4};
-  EXPECT_TRUE(store.insert(a));   // new
-  EXPECT_FALSE(store.insert(a));  // dedup hit
-  EXPECT_TRUE(store.insert(b));
-  EXPECT_EQ(store.size(), 2U);
-  EXPECT_EQ(store.stats().unique_nodes, 2U);
-  EXPECT_EQ(store.stats().total_refs, 3U);
-  EXPECT_EQ(store.stats().inserts, 3U);
-  EXPECT_EQ(store.stats().deduped, 1U);
-  EXPECT_EQ(store.stats().unique_bytes(), 2 * hash::kDigestBytes);
-}
-
-TEST(NodeStore, InsertAllCountsFreshDigests) {
-  NodeStore store;
-  const std::vector<std::uint8_t> data = random_bytes(8192, 5);
-  const MerkleTree tree = build_tree(data);
-  const std::uint64_t fresh = store.insert_all(tree.nodes());
-  EXPECT_EQ(fresh, tree.nodes().size());
-  // Re-inserting the same tree dedups every node.
-  EXPECT_EQ(store.insert_all(tree.nodes()), 0U);
-  EXPECT_EQ(store.stats().total_refs, 2 * tree.nodes().size());
-  EXPECT_EQ(store.stats().unique_nodes, tree.nodes().size());
-  EXPECT_GT(store.stats().dedup_ratio(), 1.9);
-}
-
 TEST(NodeStore, ComputeAndApplyDeltaRoundTrip) {
   std::vector<std::uint8_t> data = random_bytes(16384, 6);
   const MerkleTree base = build_tree(data);
@@ -84,15 +55,6 @@ TEST(NodeStore, ComputeAndApplyDeltaRoundTrip) {
                          next.nodes().begin(), next.nodes().end()));
 }
 
-TEST(NodeStore, DirtyNodeIndicesCoverLeafToRoot) {
-  const TreeLayout layout = TreeLayout::for_leaves(8);
-  const std::vector<std::uint64_t> changed = {0};
-  const std::vector<std::uint64_t> dirty =
-      dirty_node_indices(layout, changed);
-  // Leaf 0 of an 8-leaf tree is node 7; path = 7 -> 3 -> 1 -> 0.
-  EXPECT_EQ(dirty, (std::vector<std::uint64_t>{0, 1, 3, 7}));
-}
-
 TEST(NodeStore, DeltaRejectsMismatchedBase) {
   const std::vector<std::uint8_t> small = random_bytes(4096, 8);
   const std::vector<std::uint8_t> large = random_bytes(16384, 8);
@@ -105,47 +67,6 @@ TEST(NodeStore, DeltaRejectsMismatchedBase) {
   ASSERT_TRUE(delta.is_ok());
   EXPECT_TRUE(delta.value().nodes.empty());
   EXPECT_FALSE(apply_tree_delta(small_tree, delta.value()).is_ok());
-}
-
-TEST(NodeStore, ResolveDeltaChainWalksToAnchor) {
-  TempDir dir{"nodestore-chain"};
-  std::vector<std::uint8_t> data = random_bytes(16384, 9);
-  MerkleTree current = build_tree(data);
-  // iter0: full anchor sidecar. iter1..3: RMFD-only differential files.
-  ASSERT_TRUE(
-      save_flat(current, dir.file("iter0.rmrk")).is_ok());
-  for (std::uint64_t iteration = 1; iteration <= 3; ++iteration) {
-    data[iteration * 2048] ^= 0xFF;
-    const MerkleTree next = build_tree(data);
-    auto delta = compute_tree_delta(current, next, iteration - 1, iteration);
-    ASSERT_TRUE(delta.is_ok());
-    ASSERT_TRUE(save_flat_delta(
-                    delta.value(),
-                    dir.file("iter" + std::to_string(iteration) + ".rmrk"))
-                    .is_ok());
-    current = next;
-  }
-  auto resolved = resolve_delta_chain(dir.file("iter3.rmrk"));
-  ASSERT_TRUE(resolved.is_ok()) << resolved.status().to_string();
-  EXPECT_TRUE(resolved.value().root() == current.root());
-
-  // A full sidecar resolves with no chain.
-  auto direct = resolve_delta_chain(dir.file("iter0.rmrk"));
-  ASSERT_TRUE(direct.is_ok());
-}
-
-TEST(NodeStore, ResolveDeltaChainErrorsOnMissingAnchor) {
-  TempDir dir{"nodestore-chain"};
-  std::vector<std::uint8_t> data = random_bytes(8192, 10);
-  const MerkleTree base = build_tree(data);
-  data[0] ^= 0xFF;
-  const MerkleTree next = build_tree(data);
-  auto delta = compute_tree_delta(base, next, 4, 5);
-  ASSERT_TRUE(delta.is_ok());
-  ASSERT_TRUE(
-      save_flat_delta(delta.value(), dir.file("iter5.rmrk")).is_ok());
-  // iter4.rmrk does not exist: clean error, not a crash or a hang.
-  EXPECT_FALSE(resolve_delta_chain(dir.file("iter5.rmrk")).is_ok());
 }
 
 TEST(NodeStore, DeltaOnlySidecarParsesForOldReaders) {

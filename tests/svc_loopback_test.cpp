@@ -657,7 +657,9 @@ TEST_F(LoopbackTest, DeltaOnlySidecarGetsAnErrorReplyNamingIt) {
       merkle::compute_tree_delta(tree.value(), tree.value(), 0, 1);
   ASSERT_TRUE(delta.is_ok()) << delta.status().to_string();
   const std::filesystem::path sidecar = dir_.file("iter1.rmrk");
-  ASSERT_TRUE(merkle::save_flat_delta(delta.value(), sidecar).is_ok());
+  ASSERT_TRUE(
+      repro::write_file(sidecar, merkle::flat_serialize_delta(delta.value()))
+          .is_ok());
 
   start_server(base_options());
   auto client = connect_client();

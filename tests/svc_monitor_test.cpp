@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/fs.hpp"
+#include "common/rng.hpp"
 #include "merkle/flat.hpp"
 #include "merkle/nodestore.hpp"
 #include "sim/workload.hpp"
@@ -22,6 +23,7 @@
 #include "svc/server.hpp"
 #include "telemetry/json_parse.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/resource_sampler.hpp"
 
 namespace repro::svc {
 namespace {
@@ -656,6 +658,65 @@ TEST_F(MonitorTest, MetricsVerbExposesWatchSeriesAndStatsCountSessions) {
             0U);
 
   stop_server();
+}
+
+TEST(MonitorMemoryTest, LongSessionHoldsOnlyItsFrontier) {
+  // What a WATCH session keeps resident is its frontier tree, not the
+  // digests it was pushed: 1000 pushes of fresh digests for every node of a
+  // 448-leaf tree (a 28 MB checkpoint at 64 KiB chunks) must leave RSS
+  // about where it was. No reference sidecar exists, so every push answers
+  // no-reference and only the push path runs.
+  constexpr std::uint64_t kLeaves = 448;
+  constexpr std::uint64_t kChunkBytes = 64 * 1024;
+  constexpr std::uint64_t kPushes = 1000;
+  repro::TempDir dir{"svc-monitor-memory"};
+  MetadataCache cache(1 << 20);
+  MonitorOptions options;
+  options.compare.tree.chunk_bytes = kChunkBytes;
+  Monitor monitor(std::move(options), &cache);
+  const std::string request =
+      "{\"root\":\"" + dir.path().string() +
+      "\",\"run\":\"live\",\"reference\":\"ref\",\"data_bytes\":" +
+      std::to_string(kLeaves * kChunkBytes) + "}";
+  const WatchReply opened = monitor.open(1, request);
+  ASSERT_EQ(opened.status, WireStatus::kOk) << opened.payload;
+
+  const std::uint64_t num_nodes =
+      merkle::TreeLayout::for_leaves(kLeaves).num_nodes();
+  ASSERT_EQ(num_nodes, 1023U);
+  repro::Xoshiro256 rng(448);
+  WatchPushFrame frame;
+  frame.entries.resize(num_nodes);
+  std::vector<std::uint8_t> payload;
+  const double rss_before = telemetry::sample_process_resources().rss_bytes;
+  ASSERT_GT(rss_before, 0);
+  for (std::uint64_t iteration = 1; iteration <= kPushes; ++iteration) {
+    frame.iteration = iteration;
+    for (std::uint64_t i = 0; i < num_nodes; ++i) {
+      frame.entries[i] = {i, hash::Digest128{rng.next(), rng.next()}};
+    }
+    payload.clear();
+    encode_watch_push(payload, frame);
+    const WatchReply reply =
+        monitor.push(1, std::string(payload.begin(), payload.end()));
+    ASSERT_EQ(reply.status, WireStatus::kOk) << reply.payload;
+    ASSERT_NE(reply.payload.find("no-reference"), std::string::npos)
+        << reply.payload;
+  }
+  const double grown =
+      telemetry::sample_process_resources().rss_bytes - rss_before;
+
+  const WatchReply closed = monitor.close(1);
+  ASSERT_EQ(closed.status, WireStatus::kOk) << closed.payload;
+  EXPECT_EQ(parse_payload(closed.payload).u64_or("node_inserts", 0),
+            kPushes * num_nodes);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Sanitizer builds run the pushes but skip the bound: ASan's quarantine
+  // keeps freed blocks (every replaced frontier) resident on purpose.
+  EXPECT_LT(grown, 16.0 * 1024 * 1024) << "VmRSS grew " << grown << " bytes";
+#else
+  (void)grown;
+#endif
 }
 
 }  // namespace
